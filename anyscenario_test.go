@@ -9,7 +9,8 @@ import (
 // TestRunAcceptsEveryScenarioKind pins the sealed AnyScenario union: the
 // single Runner.Run entry point executes both scenario kinds, by value
 // and by pointer, and a population run through it folds into the shared
-// Result shape with exactly the PopulationBatch metric mapping.
+// Result shape with exactly the PopulationBatch metric mapping, while
+// Runner.RunPopulation keeps the population-specific fields (Measure).
 func TestRunAcceptsEveryScenarioKind(t *testing.T) {
 	le, err := NewLeaderElection(128)
 	if err != nil {
@@ -17,12 +18,15 @@ func TestRunAcceptsEveryScenarioKind(t *testing.T) {
 	}
 	sc := PopulationScenario{N: 128, Pair: le, Init: InitAllLeaders, Seed: 9}
 
-	pres, err := RunPopulation(context.Background(), sc)
+	pres, err := NewRunner().RunPopulation(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pres.Converged {
 		t.Fatal("leader election did not converge; pick a different seed for this pin")
+	}
+	if pres.Measure != 1 {
+		t.Errorf("converged leader election left %d leaders", pres.Measure)
 	}
 
 	for _, s := range []AnyScenario{sc, &sc} {
@@ -75,33 +79,6 @@ func TestRunAcceptsEveryScenarioKind(t *testing.T) {
 
 	if _, err := Run(context.Background(), nil); err == nil {
 		t.Error("Run accepted a nil scenario")
-	}
-}
-
-// TestRunPopulationWrapperUnchanged pins that the deprecated
-// RunPopulation wrappers still return the population-specific result the
-// new Run cannot carry (Measure, convergence detail) — byte-compatible
-// behaviour for pre-AnyScenario callers.
-func TestRunPopulationWrapperUnchanged(t *testing.T) {
-	le, err := NewLeaderElection(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := PopulationScenario{N: 64, Pair: le, Init: InitAllLeaders, Seed: 4}
-	direct, err := RunPopulation(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRunner, err := NewRunner().RunPopulation(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Steps != viaRunner.Steps || direct.Interactions != viaRunner.Interactions ||
-		direct.Measure != viaRunner.Measure || direct.ConvergedAt != viaRunner.ConvergedAt {
-		t.Error("package-level and Runner RunPopulation diverged")
-	}
-	if direct.Converged && direct.Measure != 1 {
-		t.Errorf("converged leader election left %d leaders", direct.Measure)
 	}
 }
 

@@ -133,41 +133,34 @@ func (p steadyPush) NeverPulls() bool        { return true }
 
 // TestNilObserverZeroAllocsPerRound guards the facade's core performance
 // contract: with no observer registered, the steady-state round loop of
-// both simulation engines allocates nothing. Two runs that differ only in
-// horizon must show identical allocation counts — any per-round
-// allocation would surface ~hundreds of times over the horizon gap.
+// the default runner (shard passes inline) allocates nothing. Two runs
+// that differ only in horizon must show identical allocation counts — any
+// per-round allocation would surface ~hundreds of times over the horizon
+// gap.
 func TestNilObserverZeroAllocsPerRound(t *testing.T) {
 	g, err := regcast.NewRegularGraph(256, 8, regcast.NewRand(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 0},
-		{"sharded-inline", 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			allocs := func(horizon int) float64 {
-				scenario, err := regcast.NewScenario(regcast.Static(g), steadyPush{horizon}, regcast.WithSeed(5))
-				if err != nil {
+	t.Run("sharded-inline", func(t *testing.T) {
+		allocs := func(horizon int) float64 {
+			scenario, err := regcast.NewScenario(regcast.Static(g), steadyPush{horizon}, regcast.WithSeed(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner := regcast.NewRunner()
+			return testing.AllocsPerRun(5, func() {
+				if _, err := runner.Run(context.Background(), scenario); err != nil {
 					t.Fatal(err)
 				}
-				runner := regcast.NewRunner(regcast.WithWorkers(tc.workers))
-				return testing.AllocsPerRun(5, func() {
-					if _, err := runner.Run(context.Background(), scenario); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			short, long := allocs(80), allocs(400)
-			if extra := long - short; extra >= 1 {
-				t.Errorf("nil-observer run allocates per round: %.1f extra allocs over 320 extra rounds (%.3f/round)",
-					extra, extra/320)
-			}
-		})
-	}
+			})
+		}
+		short, long := allocs(80), allocs(400)
+		if extra := long - short; extra >= 1 {
+			t.Errorf("nil-observer run allocates per round: %.1f extra allocs over 320 extra rounds (%.3f/round)",
+				extra, extra/320)
+		}
+	})
 }
 
 // countingObserver is the cheapest useful observer: two counters.

@@ -84,7 +84,47 @@ func TestFaultsRejectNonTransportEngines(t *testing.T) {
 	}
 	if _, err := regcast.Run(context.Background(), scenario,
 		regcast.WithTransportFaults(regcast.FaultConfig{Drop: 0.1})); err == nil {
-		t.Error("sequential engine accepted a fault plan")
+		t.Error("sharded engine accepted a fault plan")
+	}
+}
+
+// TestFaultNodesOutOfRangeRejected is the regression test for chaos
+// windows that name a node the cluster does not have: "-chaos-crash
+// 999:1:3" on a 16-node cluster used to run with zero crash drops.
+// Crash and partition node ids outside [0, n) must fail the run before
+// any socket is opened.
+func TestFaultNodesOutOfRangeRejected(t *testing.T) {
+	const n, d = 16, 4
+	g, err := regcast.NewRegularGraph(n, d, regcast.NewRand(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := baseline.NewPushPull(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario, err := regcast.NewScenario(regcast.Static(g), proto, regcast.WithSeed(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parseTransportFlags(t, "-chaos", "-chaos-crash", "999:1:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := regcast.Run(context.Background(), scenario, f.RunnerOptions(n, 8)...); err == nil {
+		t.Error("-chaos-crash 999:1:3 accepted on a 16-node cluster")
+	}
+	for _, cfg := range []regcast.FaultConfig{
+		{Crashes: []regcast.CrashWindow{{Node: n, From: 1, Until: 3}}},
+		{Crashes: []regcast.CrashWindow{{Node: -1, From: 1, Until: 3}}},
+		{Partitions: []regcast.PartitionWindow{{From: 1, Until: 3, A: []int{0, n}}}},
+	} {
+		for _, engine := range []regcast.Engine{regcast.EngineGossipTransport, regcast.EngineDaemonTransport} {
+			if _, err := regcast.Run(context.Background(), scenario,
+				regcast.WithEngine(engine), regcast.WithTransportFaults(cfg)); err == nil {
+				t.Errorf("%v accepted out-of-range fault nodes %+v", engine, cfg)
+			}
+		}
 	}
 }
 

@@ -239,7 +239,7 @@ func runPopulation(n int, trace bool, common *regcast.CommonFlags) error {
 		fmt.Println(" step  interactions  changed  leaders")
 		sc.Observer = superStepPrinter{n: n, fractions: &fractions}
 	}
-	res, err := regcast.RunPopulation(context.Background(), sc, common.RunnerOptions()...)
+	res, err := common.Runner().RunPopulation(context.Background(), sc)
 	if err != nil {
 		return err
 	}

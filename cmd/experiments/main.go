@@ -7,7 +7,7 @@
 //	experiments -run E2,E4       # a subset
 //	experiments -quick           # the fast CI profile
 //	experiments -markdown        # GitHub-flavoured Markdown output
-//	experiments -workers -1      # each broadcast on the sharded engine
+//	experiments -workers -1      # each run's shard passes on GOMAXPROCS workers
 //	experiments -rep-workers -1  # replication ensembles on a GOMAXPROCS pool
 //	experiments -scheduler interactions  # the population-protocol family (E21+)
 //
@@ -38,7 +38,6 @@ func run() error {
 		runIDs   = flag.String("run", "", "comma-separated experiment ids (default: all)")
 		quick    = flag.Bool("quick", false, "use the fast profile (smaller sweeps)")
 		markdown = flag.Bool("markdown", false, "emit Markdown instead of plain text")
-		parallel = flag.Bool("parallel", false, "deprecated alias for -workers -1 (sharded engine, GOMAXPROCS workers)")
 		repWork  = flag.Int("rep-workers", 0,
 			"replication-pool workers over whole runs: 0/1 = serial, -1 = GOMAXPROCS, n = n workers (never changes results)")
 		common = regcast.AddCommonFlags(flag.CommandLine)
@@ -49,9 +48,6 @@ func run() error {
 	}
 	if *repWork < regcast.WorkersAuto {
 		return fmt.Errorf("-rep-workers %d invalid (use -1, 0 or a positive count)", *repWork)
-	}
-	if *parallel && common.Workers == 0 {
-		common.Workers = regcast.WorkersAuto
 	}
 
 	var selected []experiments.Experiment

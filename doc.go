@@ -3,7 +3,7 @@
 // Elsässer, Friedetzky; PODC 2008 / Distributed Computing 2016) as a Go
 // library, and is itself the public API: programs describe a broadcast as
 // a Scenario (topology + protocol + fault model, via functional options),
-// execute it with a Runner that selects among five engines behind one
+// execute it with a Runner that selects among three engines behind one
 // Run(ctx, Scenario) call, and consume per-round metrics online through
 // the streaming Observer interface instead of retaining full traces.
 //
@@ -16,12 +16,13 @@
 //		}))
 //	res, _ := regcast.Run(ctx, scenario, regcast.WithWorkers(regcast.WorkersAuto))
 //
-// Engines: EngineSequential (the classic single-stream simulator),
-// EngineSharded (the parallel engine — bit-identical results for every
-// worker count at a fixed shard count), EngineGoroutinePerNode (one
-// goroutine per node, barrier-synchronised; internal/runtime),
-// EngineGossipTransport and EngineTCPTransport (anti-entropy gossip over
-// in-memory mailboxes or real loopback sockets; internal/transport).
+// Engines: EngineSharded (the zero value; the phone-call simulator —
+// per-shard PRNG streams, so results depend on the seed and the shard
+// count and are bit-identical for every WithWorkers count),
+// EngineGossipTransport (anti-entropy gossip over in-memory mailboxes)
+// and EngineDaemonTransport (the resilient gossip daemon over real
+// loopback sockets, with health metrics and seeded chaos;
+// internal/transport).
 // Scenario construction fails fast on model violations — e.g.
 // DialQuasirandom with a protocol that may pull.
 //
@@ -52,7 +53,7 @@
 // at a time (internal/population): describe an ensemble of agents as a
 // PopulationScenario (a PairProtocol such as NewLeaderElection, or a
 // RingProtocol such as NewHermanRing) and execute it with
-// RunPopulation; PopulationBatch folds convergence ensembles into the
+// Runner.RunPopulation; PopulationBatch folds convergence ensembles into the
 // same BatchResult the broadcast batches produce, so Sweep (via
 // BuildPopulation) and cmd/regcast-bench grid them unchanged. Both
 // scheduler families run on the shared deterministic sharded
@@ -74,7 +75,7 @@
 //
 // Behind the facade: the four-choice phased broadcast protocols
 // (internal/core), the random phone call simulator with its sharded
-// parallel round engine (internal/phonecall), random-regular-graph
+// round engine (internal/phonecall), random-regular-graph
 // generation and analysis (internal/graph, internal/spectral), the
 // strictly-oblivious lower-bound machinery (internal/oblivious), baseline
 // gossip protocols (internal/baseline), a churning P2P overlay and a

@@ -3,7 +3,7 @@
 // leader, and nobody a leader — and watch the interaction scheduler
 // converge to exactly one leader in Θ(n·log n) interactions. Programmed
 // entirely against the public regcast facade (the SchedulerInteractions
-// side: PopulationScenario + RunPopulation).
+// side: PopulationScenario + Runner.RunPopulation).
 package main
 
 import (
@@ -43,10 +43,9 @@ func main() {
 			Seed:     42,
 			Observer: stepPrinter{},
 		}
-		// The sharded driver executes the same trace as the sequential
-		// one — worker count never changes a result, only wall-clock.
-		res, err := regcast.RunPopulation(context.Background(), sc,
-			regcast.WithWorkers(regcast.WorkersAuto))
+		// Worker count never changes a result, only wall-clock time.
+		res, err := regcast.NewRunner(regcast.WithWorkers(regcast.WorkersAuto)).
+			RunPopulation(context.Background(), sc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 // TCP cluster example: sixteen gossip nodes, each with its own loopback
 // TCP listener, spreading a rumour with push&pull anti-entropy over real
-// sockets — the deployment-shaped counterpart of the simulator, driven
-// through the same public Scenario/Runner API: only the engine changes,
-// the scenario and the streaming observer stay identical.
+// sockets through the gossip daemon (persistent per-peer connections,
+// dedup, health metrics) — the deployment-shaped counterpart of the
+// simulator, driven through the same public Scenario/Runner API: only the
+// engine changes, the scenario and the streaming observer stay identical.
 package main
 
 import (
@@ -43,13 +44,13 @@ func main() {
 
 	fmt.Printf("rumour inserted at node 0; gossiping over real TCP sockets...\n\n")
 	res, err := regcast.Run(context.Background(), scenario,
-		regcast.WithEngine(regcast.EngineTCPTransport))
+		regcast.WithEngine(regcast.EngineDaemonTransport))
 	if err != nil {
 		log.Fatal(err)
 	}
 	if !res.AllInformed {
 		log.Fatalf("rumour reached only %d/%d nodes in %d ticks", res.Informed, n, res.Rounds)
 	}
-	fmt.Printf("\nall %d nodes informed over TCP in %d ticks (%d packets on the wire)\n",
-		n, res.FirstAllInformed, res.Transmissions)
+	fmt.Printf("\nall %d nodes informed over TCP in %d ticks (%d packets on the wire, ledger gap %d)\n",
+		n, res.FirstAllInformed, res.Transmissions, res.Transport.LedgerGap())
 }

@@ -24,9 +24,10 @@ import (
 type Experiment = experiments.Experiment
 
 // Options selects the experiment profile: the master seed, the
-// Quick/Full sweep sizes, the per-run engine (Workers, phonecall
-// semantics) and the replication-pool width (ReplicationWorkers, batch
-// semantics).
+// Quick/Full sweep sizes, the per-run engine workers (Workers, phonecall
+// semantics: 0/1 inline, regcast.WorkersAuto = GOMAXPROCS, n > 1 fixed)
+// and the replication-pool width (ReplicationWorkers, batch semantics).
+// Neither width changes any table.
 type Options = experiments.Options
 
 // All returns every registered experiment ordered by numeric ID.

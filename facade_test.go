@@ -52,33 +52,9 @@ func checkGolden(t *testing.T, name string, res regcast.Result, want golden) {
 	}
 }
 
-// TestFacadeTraceGoldenSequential pins that a facade run on the default
-// (sequential) engine is bit-identical to the pre-redesign engine: the
-// golden values were captured by calling phonecall.Run directly, before
-// the facade and the observer plumbing existed.
-func TestFacadeTraceGoldenSequential(t *testing.T) {
-	g := goldenGraph(t)
-	four, err := core.New(2048, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenario, err := regcast.NewScenario(regcast.Static(g), four, regcast.WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := regcast.Run(context.Background(), scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != regcast.EngineSequential {
-		t.Fatalf("default engine = %v, want sequential", res.Engine)
-	}
-	checkGolden(t, "seq/fourchoice", res, golden{46, 23, 2048, 32720, 376832, 0xc5537e0064da52f0})
-}
-
-// TestFacadeTraceGoldenSharded pins the sharded engine at a fixed shard
-// count: bit-identical to the pre-redesign sharded engine, for every
-// worker count.
+// TestFacadeTraceGoldenSharded pins the simulator at a fixed shard
+// count: bit-identical to the pre-redesign sharded engine for the default
+// runner and every worker count (0 and 1 inline, 2–4, WorkersAuto).
 func TestFacadeTraceGoldenSharded(t *testing.T) {
 	g := goldenGraph(t)
 	four, err := core.New(2048, 8)
@@ -89,9 +65,12 @@ func TestFacadeTraceGoldenSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers := 1; workers <= 4; workers++ {
-		res, err := regcast.Run(context.Background(), scenario,
-			regcast.WithWorkers(workers), regcast.WithShards(16))
+	runners := []regcast.Runner{regcast.NewRunner(regcast.WithShards(16))}
+	for _, workers := range []int{0, 1, 2, 3, 4, regcast.WorkersAuto} {
+		runners = append(runners, regcast.NewRunner(regcast.WithWorkers(workers), regcast.WithShards(16)))
+	}
+	for _, runner := range runners {
+		res, err := runner.Run(context.Background(), scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +100,7 @@ func TestFacadeTraceGoldenQuasirandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "seq/push/quasirandom", res, golden{17, 17, 2048, 11626, 34816, 0xb913c0fdd6f67d65})
+	checkGolden(t, "push/quasirandom", res, golden{18, 18, 2048, 13175, 36864, 0xa4c0542c74c5a71a})
 }
 
 // recordingObserver captures the full callback stream.
@@ -141,7 +120,8 @@ func (r *recordingObserver) OnInformed(node, round int) {
 	r.informedAt[node] = round
 }
 
-// TestObserverStreamsResult checks, on every simulation engine, that the
+// TestObserverStreamsResult checks, with the shard passes inline (the
+// default "sequential" runner) and on a worker pool, that the
 // streamed callbacks carry exactly the data of the retained trace: the
 // OnRound stream equals Result.PerRound and the OnInformed stream equals
 // Result.InformedAt.
@@ -186,66 +166,6 @@ func TestObserverStreamsResult(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGoroutineEngineThroughFacade runs the goroutine-per-node runtime via
-// the Runner: the facade must reconstruct PerRound from the observer
-// stream and report a complete broadcast.
-func TestGoroutineEngineThroughFacade(t *testing.T) {
-	g, err := regcast.NewRegularGraph(256, 8, regcast.NewRand(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := core.New(256, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := &recordingObserver{}
-	scenario, err := regcast.NewScenario(regcast.Static(g), four,
-		regcast.WithSeed(13),
-		regcast.WithRecordRounds(),
-		regcast.WithObserver(obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := regcast.Run(context.Background(), scenario,
-		regcast.WithEngine(regcast.EngineGoroutinePerNode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllInformed {
-		t.Fatalf("goroutine engine incomplete: %d/%d", res.Informed, res.AliveNodes)
-	}
-	if len(res.PerRound) != res.Rounds {
-		t.Fatalf("PerRound has %d entries for %d rounds", len(res.PerRound), res.Rounds)
-	}
-	if !reflect.DeepEqual(obs.rounds, res.PerRound) {
-		t.Error("user observer stream differs from reconstructed PerRound")
-	}
-	var tx int64
-	for _, rm := range res.PerRound {
-		tx += rm.Transmissions
-	}
-	if tx != res.Transmissions {
-		t.Errorf("per-round transmissions sum %d != total %d", tx, res.Transmissions)
-	}
-	if res.ChannelsDialed != int64(res.Rounds)*int64(256*4) {
-		t.Errorf("ChannelsDialed = %d, want rounds×n×k = %d", res.ChannelsDialed, res.Rounds*256*4)
-	}
-	// Determinism: same seed, same trace, regardless of scheduling (a
-	// fresh scenario, because the recording observer rejects replays).
-	scenario2, err := regcast.NewScenario(regcast.Static(g), four, regcast.WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := regcast.Run(context.Background(), scenario2,
-		regcast.WithEngine(regcast.EngineGoroutinePerNode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hashTrace(res.InformedAt) != hashTrace(res2.InformedAt) {
-		t.Error("goroutine engine not reproducible from the seed")
 	}
 }
 
@@ -333,7 +253,6 @@ func TestRunCancellation(t *testing.T) {
 	for _, opts := range [][]regcast.RunnerOption{
 		nil,
 		{regcast.WithWorkers(2)},
-		{regcast.WithEngine(regcast.EngineGoroutinePerNode)},
 	} {
 		res, err := regcast.Run(ctx, scenario, opts...)
 		if !errors.Is(err, context.Canceled) {
@@ -368,8 +287,8 @@ func TestRunnerRejectsInvalidCombos(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := regcast.Run(context.Background(), memory,
-		regcast.WithEngine(regcast.EngineGoroutinePerNode)); err == nil {
-		t.Error("goroutine engine accepted dial memory")
+		regcast.WithEngine(regcast.EngineDaemonTransport)); err == nil {
+		t.Error("daemon engine accepted dial memory")
 	}
 	if _, err := regcast.Run(context.Background(), regcast.Scenario{}); err == nil {
 		t.Error("zero-value Scenario accepted")

@@ -2,7 +2,6 @@ package regcast_test
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"regcast"
@@ -13,8 +12,8 @@ import (
 // TestRunnerWithoutFastPath pins the facade's two-path engine contract:
 // the CSR fast path (the default on Static topologies) and the reference
 // interface path produce bit-identical results, so forcing the reference
-// path must reproduce the exact golden traces of the fast path — on both
-// simulation engines.
+// path must reproduce the exact golden traces of the fast path — at the
+// default and at a pinned shard count.
 func TestRunnerWithoutFastPath(t *testing.T) {
 	g := goldenGraph(t)
 	four, err := core.New(2048, 8)
@@ -25,11 +24,17 @@ func TestRunnerWithoutFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := regcast.Run(context.Background(), scenario, regcast.WithoutFastPath())
+	defaultShards := golden{46, 23, 2048, 32720, 376832, 0xfcfefd4eec75bfd1}
+	res, err := regcast.Run(context.Background(), scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "seq/fourchoice/no-fast-path", res, golden{46, 23, 2048, 32720, 376832, 0xc5537e0064da52f0})
+	checkGolden(t, "fourchoice", res, defaultShards)
+	res, err = regcast.Run(context.Background(), scenario, regcast.WithoutFastPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fourchoice/no-fast-path", res, defaultShards)
 
 	res, err = regcast.Run(context.Background(), scenario,
 		regcast.WithWorkers(2), regcast.WithShards(16), regcast.WithoutFastPath())
@@ -40,9 +45,8 @@ func TestRunnerWithoutFastPath(t *testing.T) {
 }
 
 // TestGeometricFaultsThroughFacade covers the compatibility switch end to
-// end: deterministic and engine-independent of worker count, different
-// from the Bernoulli-mode trace, and rejected by the goroutine-per-node
-// engine (which has no geometric sampler).
+// end: deterministic, independent of the worker count, and different
+// from the Bernoulli-mode trace.
 func TestGeometricFaultsThroughFacade(t *testing.T) {
 	g, err := regcast.NewRegularGraph(512, 8, regcast.NewRand(3))
 	if err != nil {
@@ -96,11 +100,5 @@ func TestGeometricFaultsThroughFacade(t *testing.T) {
 	}
 	if hashTrace(bern.InformedAt) == hashTrace(seq.InformedAt) && bern.Transmissions == seq.Transmissions {
 		t.Error("geometric mode reproduced the Bernoulli trace; the switch is not switching anything")
-	}
-
-	if _, err := regcast.Run(context.Background(), geom,
-		regcast.WithEngine(regcast.EngineGoroutinePerNode)); err == nil ||
-		!strings.Contains(err.Error(), "geometric") {
-		t.Errorf("goroutine engine accepted WithGeometricFaults (err = %v)", err)
 	}
 }

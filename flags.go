@@ -16,9 +16,9 @@ type CommonFlags struct {
 	// Seed is the master random seed; all of a command's randomness
 	// (topology generation and the runs themselves) derives from it.
 	Seed uint64
-	// Workers selects the simulation engine: 0 = classic sequential
-	// engine, -1 = sharded engine with GOMAXPROCS workers, n >= 1 =
-	// sharded engine with n workers.
+	// Workers is the number of goroutines that run the simulators'
+	// shard passes: 0 and 1 = inline, -1 = GOMAXPROCS, n > 1 = n. It
+	// never changes a result.
 	Workers int
 	// SchedulerName is the raw -scheduler value ("rounds" or
 	// "interactions"); Validate parses it and Scheduler returns the
@@ -45,7 +45,7 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	f := &CommonFlags{}
 	fs.Uint64Var(&f.Seed, "seed", 1, "master random seed (topology and runs derive from it)")
 	fs.IntVar(&f.Workers, "workers", 0,
-		"engine workers: 0 = classic sequential engine, -1 = GOMAXPROCS (sharded), n = n workers (sharded)")
+		"engine workers per run: 0 or 1 = inline, -1 = GOMAXPROCS, n = n workers (never changes results)")
 	fs.StringVar(&f.SchedulerName, "scheduler", SchedulerRounds.String(),
 		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions")
 	fs.StringVar(&f.Topology, "topology", "",
@@ -86,8 +86,8 @@ func (f *CommonFlags) TopologySpec() TopologySpec { return f.spec }
 // Rand returns the master RNG derived from -seed; Split it per consumer.
 func (f *CommonFlags) Rand() *Rand { return NewRand(f.Seed) }
 
-// RunnerOptions translates the -workers flag into the Runner engine
-// selection — the single definition of the flag's semantics — plus the
+// RunnerOptions translates the -workers flag into the Runner's worker
+// count — the single definition of the flag's semantics — plus the
 // population fast-path switch when -pop-fastpath=false.
 func (f *CommonFlags) RunnerOptions() []RunnerOption {
 	opts := []RunnerOption{WithWorkers(f.Workers)}

@@ -33,13 +33,10 @@ type Options struct {
 	Seed uint64
 	// Quick shrinks sweeps and repetition counts for benches and CI.
 	Quick bool
-	// Workers selects the per-run broadcast engine with the facade's
-	// -workers semantics — 0 the classic sequential engine, WorkersAuto
-	// (-1) the sharded engine with GOMAXPROCS workers, n >= 1 the sharded
-	// engine with n workers. The sharded profiles stay reproducible from
-	// Seed but differ bit-wise from the sequential one: the sharded engine
-	// consumes per-shard PRNG streams, the sequential one a single stream.
-	// Worker count never changes results — only the wall-clock time.
+	// Workers sets the per-run engine workers with the facade's -workers
+	// semantics — 0 and 1 run each run's shard passes inline, WorkersAuto
+	// (-1) on GOMAXPROCS workers, n > 1 on n workers. Worker count never
+	// changes results — only the wall-clock time.
 	Workers int
 	// ReplicationWorkers sets the batch layer's pool width over whole
 	// replications (regcast.Batch semantics: 0/1 serial, WorkersAuto =

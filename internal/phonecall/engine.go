@@ -89,19 +89,15 @@ type Config struct {
 	// Leave it false to measure the transmission cost of the full schedule
 	// (the honest accounting used throughout EXPERIMENTS.md).
 	StopEarly bool
-	// Workers selects the engine implementation. 0 (the default) runs the
-	// classic single-stream sequential engine, preserving the exact RNG
-	// consumption order of earlier releases. Any value >= 1 runs the
-	// sharded engine (see parallel.go) with min(Workers, Shards) worker
-	// goroutines; Workers == 1 executes the shard passes inline and is the
-	// sequential special case of the parallel path. WorkersAuto (-1) uses
-	// GOMAXPROCS workers. For a fixed seed and shard count the sharded
-	// engine's results are bit-identical for every worker count.
+	// Workers is the number of goroutines that run the per-round shard
+	// passes (see parallel.go), capped at Shards. 0 and 1 run them inline
+	// on the calling goroutine; WorkersAuto (-1) uses GOMAXPROCS. For a
+	// fixed seed and shard count the results are bit-identical for every
+	// worker count.
 	Workers int
 	// Shards is the number of node partitions (and independent PRNG
-	// streams) of the sharded engine; 0 means DefaultShards. The shard
-	// count — not the worker count — determines the trace, so keep it
-	// fixed when comparing runs. Ignored when Workers == 0.
+	// streams); 0 means DefaultShards. The shard count — not the worker
+	// count — determines the trace, so keep it fixed when comparing runs.
 	Shards int
 	// Observer, when non-nil, receives streaming per-round callbacks (see
 	// Observer). It never changes the trace: observers are called after all
@@ -159,12 +155,10 @@ type Engine struct {
 	n          int
 	k          int
 	informedAt []int32
-	groups     [][]int32 // groups[t] = nodes first informed in round t
-	pending    []int32   // nodes newly informed in the current round
+	pending    []int32 // nodes newly informed in the current round
 	isPending  []bool
 
-	dialTargets []int32   // flat n×k; Uninformed (-1) marks "no channel"
-	seq         dialState // RNG + scratch of the sequential path
+	dialTargets []int32 // flat n×k; Uninformed (-1) marks "no channel"
 
 	// CSR fast path (see fastpath.go): when the topology exposes an
 	// epoch-stamped CSR view (CSRViewer — frozen Static graphs and the
@@ -190,14 +184,14 @@ type Engine struct {
 	impView ImplicitViewer
 	impNbrs ImplicitNeighbors
 
-	// sharded-engine state (Config.Workers != 0); see parallel.go
+	// shard state; see parallel.go
 	workers    int
 	shards     []parShard
 	roundCount []int64 // nodes currently informed at round r, by r
 
-	// Per-round protocol decision tables, indexed by receipt round: both
-	// engine paths fill them once per round, so SendPush/SendPull is
-	// called O(rounds · cohorts) times instead of inside node loops.
+	// Per-round protocol decision tables, indexed by receipt round: Run
+	// fills them once per round, so SendPush/SendPull is called
+	// O(rounds²) times instead of inside node loops.
 	pushDec []bool
 	pullDec []bool
 
@@ -313,12 +307,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for i := range e.informedAt {
 		e.informedAt[i] = Uninformed
 	}
-	e.groups = make([][]int32, cfg.Protocol.Horizon()+1)
 	e.isPending = make([]bool, n)
 	e.dialTargets = make([]int32, n*e.k)
-	e.seq = newDialState(cfg.RNG, e.k)
-	// Preallocate the receipt queue so the round loops never grow it, and
-	// the per-round protocol decision tables shared by both engine paths.
+	// Preallocate the receipt queue so the round loop never grows it, and
+	// the per-round protocol decision tables.
 	e.pending = make([]int32, 0, n)
 	e.pushDec = make([]bool, cfg.Protocol.Horizon()+1)
 	e.pullDec = make([]bool, cfg.Protocol.Horizon()+1)
@@ -365,185 +357,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.budget = DialBudget(cfg.Topology, e.k)
 	e.budgetAlive = e.aliveCount()
-	if cfg.Workers != 0 {
-		e.initShards()
-	}
+	e.initShards()
 	return e, nil
 }
 
-// Run executes the full schedule and returns the result.
-func (e *Engine) Run() Result {
-	if e.cfg.Workers != 0 {
-		return e.runSharded()
-	}
-	res := Result{FirstAllInformed: -1}
-	e.informedAt[e.cfg.Source] = 0
-	e.groups[0] = append(e.groups[0], int32(e.cfg.Source))
-	informedCount := 1
-	obs := e.cfg.Observer
-	if obs != nil {
-		obs.OnInformed(e.cfg.Source, 0)
-	}
-
-	horizon := e.proto.Horizon()
-	neverPulls := false
-	if pf, ok := e.proto.(PullFree); ok {
-		neverPulls = pf.NeverPulls()
-	}
-	stepper, _ := e.topo.(Stepper)
-
-	for t := 1; t <= horizon; t++ {
-		// Fill the round's decision tables; a node's behaviour is a pure
-		// function of its receipt round, so one lookup per cohort (push)
-		// or per callee (pull) replaces Protocol calls in the node loops.
-		anyPull, anyPush := false, false
-		for ia := 0; ia < t; ia++ {
-			e.pushDec[ia] = e.proto.SendPush(t, ia)
-			e.pullDec[ia] = !neverPulls && e.proto.SendPull(t, ia)
-			if ia < len(e.groups) && len(e.groups[ia]) > 0 {
-				anyPush = anyPush || e.pushDec[ia]
-				anyPull = anyPull || e.pullDec[ia]
-			}
-		}
-
-		var roundTx int64
-		dialAll := anyPull || e.cfg.AvoidRecent > 0
-		if dialAll {
-			e.sampleAllDials()
-		}
-
-		// Push deliveries: senders transmit over their dialled channels.
-		if anyPush {
-			for ia := 0; ia < t && ia < len(e.groups); ia++ {
-				if len(e.groups[ia]) == 0 || !e.pushDec[ia] {
-					continue
-				}
-				if e.fast {
-					roundTx += e.pushGroupFast(e.groups[ia], ia, dialAll)
-				} else {
-					roundTx += e.pushGroup(e.groups[ia], ia, dialAll)
-				}
-			}
-		}
-
-		// Pull deliveries: every established channel v→w lets an informed,
-		// pulling w answer the caller v.
-		if anyPull {
-			if e.fast {
-				roundTx += e.pullScanFast(t)
-			} else {
-				roundTx += e.pullScan(t)
-			}
-		}
-
-		// Apply receipts at the end of the round.
-		newly := len(e.pending)
-		for _, v := range e.pending {
-			e.isPending[v] = false
-			e.informedAt[v] = int32(t)
-			if obs != nil {
-				obs.OnInformed(int(v), t)
-			}
-			if t < len(e.groups) {
-				e.groups[t] = append(e.groups[t], v)
-			}
-		}
-		e.pending = e.pending[:0]
-		informedCount += newly
-
-		e.recordRound(&res, t, newly, informedCount, roundTx)
-
-		// Churn happens between rounds. Joiners start uninformed, and both
-		// joins and departures invalidate the incremental informed counter.
-		if stepper != nil {
-			joined := stepper.Step(t)
-			for _, v := range joined {
-				e.informedAt[v] = Uninformed
-			}
-			e.refreshCSR()
-			informedCount = e.recount()
-			e.refreshBudget(joined)
-		}
-
-		if e.noteCompletion(&res, t, informedCount, stepper != nil) {
-			break
-		}
-		if e.cfg.Halt != nil && e.cfg.Halt() {
-			break
-		}
-	}
-
-	e.finishResult(&res)
-	return res
-}
-
-// pushGroup sends from every member of one receipt cohort over its
-// dialled channels (the reference interface path; fastpath.go holds the
-// CSR twin). It returns the transmissions charged.
-func (e *Engine) pushGroup(group []int32, ia int, dialAll bool) int64 {
-	var tx int64
-	loss := e.cfg.MessageLossProb
-	for _, v := range group {
-		if e.informedAt[v] != int32(ia) || !e.topo.Alive(int(v)) {
-			continue // stale entry (node churned out / reset)
-		}
-		if !dialAll {
-			e.sampleDialsFor(int(v), &e.seq)
-		}
-		base := int(v) * e.k
-		for j := 0; j < e.k; j++ {
-			w := e.dialTargets[base+j]
-			if w < 0 {
-				continue
-			}
-			tx++
-			e.markUsed(int(v), int(w))
-			if loss > 0 && e.msgLost(&e.seq) {
-				continue
-			}
-			e.deliver(w)
-		}
-	}
-	return tx
-}
-
-// pullScan walks every established channel v→w and lets an informed,
-// pulling callee w answer the caller v (reference interface path). It
-// returns the transmissions charged.
-func (e *Engine) pullScan(t int) int64 {
-	var tx int64
-	loss := e.cfg.MessageLossProb
-	for v := 0; v < e.n; v++ {
-		if !e.topo.Alive(v) {
-			continue
-		}
-		base := v * e.k
-		for j := 0; j < e.k; j++ {
-			w := e.dialTargets[base+j]
-			if w < 0 {
-				continue
-			}
-			ia := e.informedAt[w]
-			if ia == Uninformed || int(ia) >= t {
-				continue // callee uninformed (this round's receipts excluded)
-			}
-			if !e.pullDec[ia] {
-				continue
-			}
-			tx++
-			e.markUsed(v, int(w))
-			if loss > 0 && e.msgLost(&e.seq) {
-				continue
-			}
-			e.deliver(int32(v))
-		}
-	}
-	return tx
-}
-
 // recordRound charges the round's totals to res and, when RecordRounds or
-// an Observer is set, materialises the per-round metrics (both engine
-// paths share it). With neither consumer it stays allocation-free.
+// an Observer is set, materialises the per-round metrics. With neither consumer it stays allocation-free.
 func (e *Engine) recordRound(res *Result, t, newly, informedCount int, roundTx int64) {
 	budget := e.dialBudget()
 	res.Transmissions += roundTx
@@ -619,18 +438,10 @@ func edgeKey(v, w int) int64 {
 	return int64(v)<<32 | int64(w)
 }
 
-// markUsed records that edge (v,w) carried a transmission (Lemma 4's
-// census). The first use decrements both endpoints' unused-edge counters
-// (twice at v for a self-loop).
-func (e *Engine) markUsed(v, w int) {
-	if e.usedEdges == nil {
-		return
-	}
-	e.markUsedKey(edgeKey(v, w))
-}
-
-// markUsedKey is markUsed for a pre-encoded edge key (the sharded engine
-// buffers keys per shard and merges them here, in shard order).
+// markUsedKey records that the undirected edge with the given key carried
+// a transmission (Lemma 4's census). The first use decrements both
+// endpoints' unused-edge counters (twice at v for a self-loop). Shards
+// buffer keys and the merge applies them here, in shard order.
 func (e *Engine) markUsedKey(key int64) {
 	if _, done := e.usedEdges[key]; done {
 		return
@@ -640,23 +451,10 @@ func (e *Engine) markUsedKey(key int64) {
 	e.unusedDeg[int(key&0xffffffff)]--
 }
 
-// deliver marks w as newly informed this round unless already informed or
-// dead. Receipts only take effect at the end of the round.
-func (e *Engine) deliver(w int32) {
-	if !e.topo.Alive(int(w)) {
-		return
-	}
-	if e.informedAt[w] != Uninformed || e.isPending[w] {
-		return
-	}
-	e.isPending[w] = true
-	e.pending = append(e.pending, w)
-}
-
 // dialState bundles a PRNG stream with its reusable sampling scratch and
-// the geometric fault-skip counters. The sequential path owns one; every
-// shard of the parallel engine owns its own, which is what makes the
-// per-shard passes race-free and deterministic regardless of worker count.
+// the geometric fault-skip counters. Every shard owns its own, which is
+// what makes the per-shard passes race-free and deterministic regardless
+// of worker count.
 type dialState struct {
 	rng     *xrand.Rand
 	dialIdx []int
@@ -718,27 +516,6 @@ func (ds *dialState) scratchFor(n int) []int {
 	return ds.scratch
 }
 
-// sampleAllDials samples the dial targets of every alive node.
-func (e *Engine) sampleAllDials() {
-	if e.fast {
-		for v := 0; v < e.n; v++ {
-			if e.aliveFast(v) {
-				e.sampleDialsFast(v, &e.seq)
-			} else {
-				e.clearDialRow(v)
-			}
-		}
-		return
-	}
-	for v := 0; v < e.n; v++ {
-		if e.topo.Alive(v) {
-			e.sampleDialsFor(v, &e.seq)
-		} else {
-			e.clearDialRow(v)
-		}
-	}
-}
-
 // clearDialRow marks every dial slot of v as "no channel".
 func (e *Engine) clearDialRow(v int) {
 	base := v * e.k
@@ -749,8 +526,7 @@ func (e *Engine) clearDialRow(v int) {
 
 // sampleDialsFor fills e.dialTargets for node v: min(k, deg) distinct
 // neighbours, with dead targets and failed channels recorded as -1. All
-// randomness is drawn from ds, which must own node v (the engine-level
-// state for the sequential path, the owning shard's for the parallel one).
+// randomness is drawn from ds, the stream of the shard that owns node v.
 // This is the reference interface path; sampleDialsFast is its CSR twin.
 func (e *Engine) sampleDialsFor(v int, ds *dialState) {
 	base := v * e.k

@@ -1,6 +1,6 @@
 package phonecall
 
-// This file is the zero-interface hot path of both engines. When the
+// This file is the zero-interface hot path of the engine. When the
 // topology exposes an epoch-stamped CSR view (CSRViewer; frozen Static
 // graphs and the churning overlay alike, unless Config.DisableFastPath),
 // NewEngine fetches the view's raw arrays once and the round loops run
@@ -26,7 +26,7 @@ package phonecall
 // dialTargets row (and, when the edge census is on, its dialEdge row)
 // without interface calls, alive checks, or O(deg) scratch. On an
 // implicit view (no CSR arrays) it dispatches to the arithmetic twin in
-// fastpath_implicit.go — the push/pull/shard loops above never touch
+// fastpath_implicit.go — the shard passes below never touch
 // adjacency, so this is the fast path's only implicit/dense branch.
 func (e *Engine) sampleDialsFast(v int, ds *dialState) {
 	if e.impNbrs != nil {
@@ -187,82 +187,6 @@ func (e *Engine) sampleWithMemoryFast(v, off, deg int, ds *dialState) {
 	if e.dialEdge != nil {
 		e.dialEdge[v*e.k] = e.slotEdge[slot]
 	}
-}
-
-// pushGroupFast is the CSR twin of pushGroup: one receipt cohort sends
-// over its dialled channels, with delivery inlined. Liveness is a bitset
-// probe (vacuously true on frozen views, where cohort entries are never
-// stale either; the receipt-round check is kept because it is one load
-// and documents the invariant).
-func (e *Engine) pushGroupFast(group []int32, ia int, dialAll bool) int64 {
-	var tx int64
-	loss := e.cfg.MessageLossProb
-	k := e.k
-	census := e.dialEdge != nil
-	for _, v := range group {
-		if e.informedAt[v] != int32(ia) || !e.aliveFast(int(v)) {
-			continue
-		}
-		if !dialAll {
-			e.sampleDialsFast(int(v), &e.seq)
-		}
-		base := int(v) * k
-		for j := 0; j < k; j++ {
-			w := e.dialTargets[base+j]
-			if w < 0 {
-				continue
-			}
-			tx++
-			if census {
-				e.markUsedID(e.dialEdge[base+j])
-			}
-			if loss > 0 && e.msgLost(&e.seq) {
-				continue
-			}
-			if e.aliveFast(int(w)) && e.informedAt[w] == Uninformed && !e.isPending[w] {
-				e.isPending[w] = true
-				e.pending = append(e.pending, w)
-			}
-		}
-	}
-	return tx
-}
-
-// pullScanFast is the CSR twin of pullScan: every established channel
-// v→w lets an informed, pulling callee w answer the caller v.
-func (e *Engine) pullScanFast(t int) int64 {
-	var tx int64
-	loss := e.cfg.MessageLossProb
-	k := e.k
-	census := e.dialEdge != nil
-	for v := 0; v < e.n; v++ {
-		if !e.aliveFast(v) {
-			continue
-		}
-		base := v * k
-		for j := 0; j < k; j++ {
-			w := e.dialTargets[base+j]
-			if w < 0 {
-				continue
-			}
-			ia := e.informedAt[w]
-			if ia == Uninformed || int(ia) >= t || !e.pullDec[ia] {
-				continue
-			}
-			tx++
-			if census {
-				e.markUsedID(e.dialEdge[base+j])
-			}
-			if loss > 0 && e.msgLost(&e.seq) {
-				continue
-			}
-			if e.informedAt[v] == Uninformed && !e.isPending[v] {
-				e.isPending[v] = true
-				e.pending = append(e.pending, int32(v))
-			}
-		}
-	}
-	return tx
 }
 
 // shardPassFast is the CSR twin of shardPass: one round for the node

@@ -243,8 +243,7 @@ func goldenCases() []goldenCase {
 // configuration shape the E1–E20 experiments use — protocols, dial
 // strategies, fault models, dial memory, the edge census, degree regimes
 // — the CSR fast path produces bit-identical traces to the reference
-// interface path, on the sequential engine and on the sharded engine at
-// several worker counts. Geometric fault skipping changes RNG consumption
+// interface path, with the shard passes inline and on a worker pool. Geometric fault skipping changes RNG consumption
 // relative to Bernoulli mode, but fast-vs-reference identity holds inside
 // each mode, so both are pinned.
 func TestFastPathGoldenE1toE20(t *testing.T) {
@@ -253,7 +252,7 @@ func TestFastPathGoldenE1toE20(t *testing.T) {
 			topo := tc.topo(t)
 			proto := tc.proto(t, topo.NumNodes())
 			for _, geometric := range []bool{false, true} {
-				for _, workers := range []int{0, 1, 4} {
+				for _, workers := range []int{1, 4} {
 					base := phonecall.Config{
 						Topology:        topo,
 						Protocol:        proto,
@@ -264,10 +263,6 @@ func TestFastPathGoldenE1toE20(t *testing.T) {
 					}
 					if tc.mutate != nil {
 						tc.mutate(&base)
-					}
-					if base.TrackEdgeUse && workers == 0 && geometric {
-						// covered; keep the matrix small
-						continue
 					}
 					run := func(disable bool) phonecall.Result {
 						cfg := base
@@ -409,7 +404,7 @@ func (p longPushProto) NeverPulls() bool        { return true }
 // deliveries), so the two modes are compared distributionally instead:
 // mean completion round and mean transmissions over many seeds must
 // agree between Bernoulli and geometric sampling, as in the sharded-vs-
-// sequential equivalence test.
+// legacy equivalence test (TestShardedMatchesLegacyStatistics).
 func TestGeometricFaultsStatistics(t *testing.T) {
 	g := mustRegular(t, 512, 8, 121)
 	push, err := baseline.NewPush(512, 1)

@@ -173,9 +173,10 @@ func TestEdgeCensusBitset(t *testing.T) {
 }
 
 // TestFastPathZeroAllocsSteadyState is the CSR fast path's allocation
-// guard: with no observer, the steady-state round loop of both engine
-// paths (sequential and sharded-inline) allocates nothing — including in
-// geometric fault-skipping mode, whose skip counters live in dialState.
+// guard: with no observer, the steady-state round loop with its shard
+// passes inline (the default Workers 0 and an explicit Workers 1)
+// allocates nothing — including in geometric fault-skipping mode, whose
+// skip counters live in dialState.
 // Two runs differing only in horizon must allocate identically; any
 // per-round allocation would surface hundreds of times over the gap.
 func TestFastPathZeroAllocsSteadyState(t *testing.T) {
@@ -261,14 +262,15 @@ func BenchmarkDial(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					ds := &e.shards[0].ds
 					b.ReportAllocs()
 					if path == "csr" {
 						for i := 0; i < b.N; i++ {
-							e.sampleDialsFast(i&(n-1), &e.seq)
+							e.sampleDialsFast(i&(n-1), ds)
 						}
 					} else {
 						for i := 0; i < b.N; i++ {
-							e.sampleDialsFor(i&(n-1), &e.seq)
+							e.sampleDialsFor(i&(n-1), ds)
 						}
 					}
 				})

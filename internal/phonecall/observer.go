@@ -2,7 +2,7 @@ package phonecall
 
 // Observer receives streaming per-round callbacks while a run executes, so
 // callers can consume metrics online instead of retaining a full trace
-// (Config.RecordRounds) in memory. Both engine paths invoke observers from
+// (Config.RecordRounds) in memory. The engine invokes observers from
 // the coordinating goroutine only, in a deterministic order:
 //
 //   - OnInformed(source, 0) once, before round 1;

@@ -14,15 +14,14 @@ const WorkersAuto = sched.WorkersAuto
 // on (seed, topology, protocol, shard count) and is reproducible across
 // machines and worker counts.
 //
-// Determinism scope: "the sequential path" of the sharded engine is
-// Workers == 1 (the same shard passes executed inline), and that is what
-// every parallel run is bit-identical to. The legacy Workers == 0 engine
-// consumes the run RNG as one stream in a different order, so its traces
-// necessarily differ bit-wise from any sharded run with the same seed;
-// the two engines are validated against each other distributionally
-// (TestShardedEquivalentStatistics) instead. Per-shard streams are what
-// make worker-count independence possible at all — a single shared
+// Determinism scope: every run executes the same shard passes, inline on
+// the calling goroutine (Workers 0 or 1) or on a worker pool, so a trace
+// depends on the seed and the shard count and never on the worker count.
+// Per-shard streams are what make that possible at all — a single shared
 // stream would make the draw order depend on goroutine scheduling.
+// Earlier releases also shipped a single-stream loop with a different
+// draw order; TestShardedMatchesLegacyStatistics keeps this engine's
+// statistics pinned to the means that loop produced.
 const DefaultShards = sched.DefaultShards
 
 // parShard is one node partition of the sharded engine. A shard owns the
@@ -41,7 +40,7 @@ type parShard struct {
 	_ [24]byte // pad to soften false sharing between adjacent shards
 }
 
-// initShards prepares the sharded engine: resolve the worker count,
+// initShards prepares the shards: resolve the worker count,
 // partition the node range, and derive one independent PRNG stream per
 // shard from the run RNG (stream i is the i-th Split of cfg.RNG, so the
 // whole run remains reproducible from the master seed).
@@ -60,15 +59,15 @@ func (e *Engine) initShards() {
 	e.roundCount = make([]int64, e.proto.Horizon()+1)
 }
 
-// runSharded is the parallel counterpart of Run. Each round runs three
-// steps: (1) compute the protocol's push/pull decision tables for the
-// round, (2) run the dial/push/pull pass of every shard — concurrently on
-// up to Workers goroutines — with each shard drawing only from its own
+// Run executes the full schedule and returns the result. Each round runs
+// three steps: (1) compute the protocol's push/pull decision tables for
+// the round, (2) run the dial/push/pull pass of every shard — concurrently
+// on up to Workers goroutines — with each shard drawing only from its own
 // PRNG stream and writing only its own dial rows and outbox, and (3)
 // merge the per-shard outboxes into the global receipt queue in shard
 // order. Because shard streams and the merge order are fixed, the result
 // is bit-identical for every worker count.
-func (e *Engine) runSharded() Result {
+func (e *Engine) Run() Result {
 	res := Result{FirstAllInformed: -1}
 	e.informedAt[e.cfg.Source] = 0
 	e.roundCount[0] = 1
@@ -148,9 +147,8 @@ func (e *Engine) runSharded() Result {
 
 		e.recordRound(&res, t, newly, informedCount, roundTx)
 
-		// Churn happens between rounds; joiners start uninformed. Unlike
-		// the sequential path this one must also keep the per-cohort
-		// counts (roundCount) consistent.
+		// Churn happens between rounds; joiners start uninformed, which
+		// also keeps the per-cohort counts (roundCount) consistent.
 		if stepper != nil {
 			joined := stepper.Step(t)
 			for _, v := range joined {
@@ -177,7 +175,7 @@ func (e *Engine) runSharded() Result {
 }
 
 // runShardPasses executes shardPass for every shard, inline when a single
-// worker is configured (the sequential special case) and on a small
+// worker is configured (Workers 0 or 1) and on a small
 // work-stealing pool otherwise. Shard-to-worker assignment is arbitrary;
 // shard results are not, so scheduling cannot influence the outcome.
 func (e *Engine) runShardPasses(t int, anyPush, anyPull, dialAll bool) {

@@ -14,10 +14,9 @@
 // configuration sequentially in shard order by the coordinating
 // goroutine. Pair draws are state-independent, so the parallel drawing
 // phase cannot observe — and therefore cannot depend on — the order in
-// which transitions are applied. The consequence is stronger than in the
-// phone-call engine: the sequential driver (Workers 0 or 1, shard passes
-// inline) and the sharded driver execute the *same* trace, bit-identical
-// for every worker count at a fixed shard count.
+// which transitions are applied. As in the phone-call engine, the inline
+// driver (Workers 0 or 1) and the pooled driver execute the *same* trace,
+// bit-identical for every worker count at a fixed shard count.
 //
 // The ring driver keeps the same shape with a synchronous twist: each
 // super-step is one simultaneous update of all n agents, double-buffered

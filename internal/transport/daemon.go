@@ -13,6 +13,11 @@ import (
 	"time"
 )
 
+// MaxPacketBytes is the default bound on one wire packet. A peer that
+// sends more than this per packet is treated as malformed: the packet is
+// rejected and counted, and the decoder never buffers unbounded input.
+const MaxPacketBytes = 1 << 20
+
 // DaemonConfig parameterises a Daemon. The zero value of every field is
 // replaced by a sensible default; only Nodes is required.
 type DaemonConfig struct {
@@ -97,9 +102,8 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	return c
 }
 
-// Daemon is the resilient long-lived gossip transport: the promotion of
-// TCP from one socket per packet to persistent per-peer connections
-// behind a dial scheduler. Each destination owns a peerLink with a
+// Daemon is the resilient long-lived gossip transport over loopback TCP:
+// persistent per-peer connections behind a dial scheduler. Each destination owns a peerLink with a
 // bounded send queue and a writer goroutine; writers dial lazily, retry
 // broken writes on a fresh connection, and quarantine unreachable peers
 // with exponential backoff so the rest of a fanout proceeds. Receivers

@@ -1,9 +1,9 @@
 // Package transport provides message transports and a small anti-entropy
 // gossip node for running push/pull rumour spreading over real channels —
 // the deployment-shaped counterpart of the round-based simulator. Two
-// transports are provided: an in-memory one (per-node buffered mailboxes)
-// and a TCP one (length-delimited JSON over loopback sockets, one packet
-// per connection), both behind the same interface.
+// transports are provided behind the same interface: an in-memory one
+// (per-node buffered mailboxes) and the gossip daemon (newline-delimited
+// JSON over persistent loopback TCP connections; daemon.go).
 package transport
 
 import (

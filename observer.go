@@ -41,12 +41,3 @@ func (m multiObserver) OnInformed(node, round int) {
 		o.OnInformed(node, round)
 	}
 }
-
-// roundCollector buffers streamed RoundStats; the goroutine-per-node
-// engine uses it to materialise Result.PerRound on demand.
-type roundCollector struct {
-	rounds []RoundStats
-}
-
-func (c *roundCollector) OnRound(rs RoundStats) { c.rounds = append(c.rounds, rs) }
-func (c *roundCollector) OnInformed(int, int)   {}

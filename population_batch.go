@@ -46,8 +46,9 @@ type PopulationBatch struct {
 	// are bit-identical for every value.
 	ReplicationWorkers int
 
-	// Runner executes each replication; its zero value is the sequential
-	// driver. Per-run engine parallelism stacks with ReplicationWorkers.
+	// Runner executes each replication; its zero value runs the shard
+	// passes inline. Per-run engine parallelism stacks with
+	// ReplicationWorkers.
 	Runner Runner
 
 	// Seed overrides the master seed the replication streams derive

@@ -9,9 +9,8 @@ import (
 )
 
 // TestRunPopulationWorkerIndependent pins the facade-level bit-identity
-// guarantee: RunPopulation produces the same result for the sequential
-// driver (Workers 0), the one-worker sharded driver, and a four-worker
-// sharded driver.
+// guarantee: Runner.RunPopulation produces the same result for the
+// default inline worker (0), one worker, four workers and WorkersAuto.
 func TestRunPopulationWorkerIndependent(t *testing.T) {
 	le, err := NewLeaderElection(250)
 	if err != nil {
@@ -19,8 +18,8 @@ func TestRunPopulationWorkerIndependent(t *testing.T) {
 	}
 	sc := PopulationScenario{N: 250, Pair: le, Init: InitAllLeaders, Seed: 9}
 	var want PopulationResult
-	for i, workers := range []int{0, 1, 4} {
-		res, err := RunPopulation(context.Background(), sc, WithWorkers(workers))
+	for i, workers := range []int{0, 1, 4, WorkersAuto} {
+		res, err := NewRunner(WithWorkers(workers)).RunPopulation(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,10 @@ import (
 // Population-protocol facade: the SchedulerInteractions counterpart of
 // Scenario/Run. A PopulationScenario describes one run of an
 // agent-state machine under the uniform random-pair scheduler (or the
-// synchronous ring scheduler), and Runner.RunPopulation executes it on
-// the same engine selection the phone-call scenarios use —
-// EngineSequential and EngineSharded produce bit-identical traces here,
-// because population pair draws are state-independent (see
-// internal/population).
+// synchronous ring scheduler), and Runner.RunPopulation executes it with
+// the same worker and shard settings the phone-call scenarios use; the
+// trace depends on the seed and the shard count, never on the worker
+// count (see internal/population).
 
 // Facade aliases for the population engine's vocabulary.
 type (
@@ -151,38 +150,17 @@ type PopulationScenario struct {
 // AnyScenario union, so Runner.Run accepts it directly.
 func (PopulationScenario) anyScenario() {}
 
-// RunPopulation executes one population scenario on the simulation
-// engines and returns the full PopulationResult (Measure and the
-// population-specific convergence fields included).
-//
-// Deprecated: Runner.Run accepts a PopulationScenario directly and is
-// the single entry point for every scenario kind; use it unless the
-// population-specific result fields are needed. RunPopulation remains a
-// supported thin wrapper over the same execution path — the two run
-// identical traces.
+// RunPopulation executes one population scenario and returns the full
+// PopulationResult (Measure and the population-specific convergence
+// fields included); Runner.Run accepts a PopulationScenario too, folded
+// into the shared Result shape. The shard passes run on WithWorkers
+// goroutines, bit-identical for every worker count at a fixed shard
+// count. Transport engines reject the scenario. Cancelling ctx stops the
+// run at the next super-step boundary and returns ctx.Err() alongside
+// the partial result.
 func (r Runner) RunPopulation(ctx context.Context, s PopulationScenario) (PopulationResult, error) {
-	return r.runPopulation(ctx, s)
-}
-
-// runPopulation executes one population scenario on the simulation
-// engines. EngineSequential runs the shard passes inline;
-// EngineSharded runs them on the worker pool; both execute the same
-// trace, bit-identical for every worker count at a fixed shard count.
-// Other engines reject the scenario. Cancelling ctx stops the run at
-// the next super-step boundary and returns ctx.Err() alongside the
-// partial result.
-func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (PopulationResult, error) {
-	var workers int
-	switch r.engine {
-	case EngineSequential:
-		workers = 0
-	case EngineSharded:
-		workers = r.workers
-		if workers == 0 {
-			workers = WorkersAuto
-		}
-	default:
-		return PopulationResult{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSequential or EngineSharded)", r.engine)
+	if r.engine != EngineSharded {
+		return PopulationResult{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSharded)", r.engine)
 	}
 	rng := s.RNG
 	if rng == nil {
@@ -197,7 +175,7 @@ func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Popula
 		MaxSteps:        s.MaxSteps,
 		BatchSize:       s.BatchSize,
 		SilenceWindow:   s.SilenceWindow,
-		Workers:         workers,
+		Workers:         r.workers,
 		Shards:          r.shards,
 		DisableFastPath: r.noFastPath || r.noPopFastPath,
 		Observer:        s.Observer,
@@ -207,13 +185,4 @@ func (r Runner) runPopulation(ctx context.Context, s PopulationScenario) (Popula
 		return PopulationResult{}, err
 	}
 	return res, ctxErr(ctx)
-}
-
-// RunPopulation executes the scenario with default runner options — the
-// sequential driver unless opts say otherwise.
-//
-// Deprecated: Run accepts a PopulationScenario directly; use it unless
-// the population-specific result fields are needed.
-func RunPopulation(ctx context.Context, s PopulationScenario, opts ...RunnerOption) (PopulationResult, error) {
-	return NewRunner(opts...).runPopulation(ctx, s)
 }

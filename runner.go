@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"regcast/internal/phonecall"
-	"regcast/internal/runtime"
 	"regcast/internal/transport"
 )
 
@@ -14,50 +13,33 @@ import (
 type Engine int
 
 const (
-	// EngineSequential is the classic single-stream simulator: one PRNG
-	// stream consumed in node order, the trace every historical experiment
-	// in EXPERIMENTS.md was recorded with.
-	EngineSequential Engine = iota
-	// EngineSharded is the sharded parallel simulator: nodes partitioned
-	// into shards with independent PRNG streams, bit-identical results for
-	// every worker count at a fixed shard count.
-	EngineSharded
-	// EngineGoroutinePerNode runs one goroutine per node with
-	// barrier-synchronised rounds (internal/runtime) — the concurrency
-	// stress-test of the protocol logic. Static topologies, uniform
-	// dialing only.
-	EngineGoroutinePerNode
+	// EngineSharded is the phone-call simulator and the zero value: nodes
+	// partitioned into shards with independent PRNG streams, so a trace
+	// depends on the seed and the shard count and never on the worker
+	// count (WithWorkers).
+	EngineSharded Engine = iota
 	// EngineGossipTransport executes the scenario as anti-entropy gossip
 	// over in-memory channel mailboxes (internal/transport): each tick,
 	// every node contacts Choices() random neighbours with push packets
 	// and pull requests. Deployment-shaped, so per-tick metrics are
 	// measured (not simulated) and wall-clock dependent.
 	EngineGossipTransport
-	// EngineTCPTransport is EngineGossipTransport over real loopback TCP
-	// sockets with JSON packets on the wire (one connection per packet —
-	// the simple, fully observable variant).
-	EngineTCPTransport
-	// EngineDaemonTransport is the resilient gossip daemon: persistent
-	// per-peer TCP connections behind a backoff dial scheduler, bounded
-	// per-peer send queues with drop accounting, and expiring-bucket
-	// rumour dedup. Result.Transport carries its health snapshot, and
-	// WithTransportFaults injects reproducible chaos in front of it.
+	// EngineDaemonTransport is the resilient gossip daemon over real
+	// loopback TCP: persistent per-peer connections behind a backoff dial
+	// scheduler, bounded per-peer send queues with drop accounting, and
+	// expiring-bucket rumour dedup. Result.Transport carries its health
+	// snapshot, and WithTransportFaults injects reproducible chaos in
+	// front of it.
 	EngineDaemonTransport
 )
 
 // String implements fmt.Stringer.
 func (e Engine) String() string {
 	switch e {
-	case EngineSequential:
-		return "sequential"
 	case EngineSharded:
 		return "sharded"
-	case EngineGoroutinePerNode:
-		return "goroutine-per-node"
 	case EngineGossipTransport:
 		return "gossip-transport"
-	case EngineTCPTransport:
-		return "tcp-transport"
 	case EngineDaemonTransport:
 		return "daemon-transport"
 	default:
@@ -66,11 +48,11 @@ func (e Engine) String() string {
 }
 
 // Runner executes Scenarios on a chosen engine. The zero value runs the
-// classic sequential simulator; construct variants with NewRunner. Runners
-// are stateless values — one Runner may run many Scenarios, concurrently
-// if desired (a Scenario built with WithRNG is the exception: its stream
-// is unsynchronised, so never run that one scenario concurrently with
-// itself).
+// sharded simulator with its shard passes inline; construct variants
+// with NewRunner. Runners are stateless values — one Runner may run many
+// Scenarios, concurrently if desired (a Scenario built with WithRNG is
+// the exception: its stream is unsynchronised, so never run that one
+// scenario concurrently with itself).
 type Runner struct {
 	engine     Engine
 	workers    int
@@ -89,23 +71,13 @@ type RunnerOption func(*Runner)
 // WithEngine selects the execution engine explicitly.
 func WithEngine(e Engine) RunnerOption { return func(r *Runner) { r.engine = e } }
 
-// WithWorkers selects between the two simulation engines by worker count,
-// mirroring the commands' -workers flag: 0 is the classic sequential
-// engine, WorkersAuto (-1) the sharded engine with GOMAXPROCS workers, and
-// any n >= 1 the sharded engine with n workers. Apply WithEngine after it
-// to pick a non-simulation engine instead.
-func WithWorkers(n int) RunnerOption {
-	return func(r *Runner) {
-		r.workers = n
-		if n == 0 {
-			r.engine = EngineSequential
-		} else {
-			r.engine = EngineSharded
-		}
-	}
-}
+// WithWorkers sets the number of goroutines that run the simulators'
+// per-step shard passes, mirroring the commands' -workers flag: 0 and 1
+// run them inline, WorkersAuto (-1) uses GOMAXPROCS and n > 1 uses n. The
+// worker count never changes a trace, only the wall-clock time.
+func WithWorkers(n int) RunnerOption { return func(r *Runner) { r.workers = n } }
 
-// WithShards fixes the sharded engine's partition count (default
+// WithShards fixes the simulators' partition count (default
 // DefaultShards). The shard count — not the worker count — determines the
 // trace, so pin it when comparing runs.
 func WithShards(n int) RunnerOption { return func(r *Runner) { r.shards = n } }
@@ -132,8 +104,8 @@ func WithoutPopulationFastPath() RunnerOption {
 	return func(r *Runner) { r.noPopFastPath = true }
 }
 
-// NewRunner builds a Runner; with no options it runs the classic
-// sequential engine.
+// NewRunner builds a Runner; with no options it runs EngineSharded with
+// one inline worker.
 func NewRunner(opts ...RunnerOption) Runner {
 	var r Runner
 	for _, opt := range opts {
@@ -178,16 +150,17 @@ type Result struct {
 // AnyScenario is the sealed union of the scenario kinds a Runner can
 // execute: Scenario (phone-call broadcast) and PopulationScenario
 // (pairwise-interaction protocols), by value or pointer. It exists so
-// Runner.Run is the single entry point for every workload — the
-// deprecated RunPopulation pair survives as thin wrappers. The interface
-// is sealed (the marker method is unexported); external types cannot
-// implement it, which is what lets Run's type switch be exhaustive.
+// Runner.Run is the single entry point for every workload
+// (Runner.RunPopulation adds the population-specific result fields). The
+// interface is sealed (the marker method is unexported); external types
+// cannot implement it, which is what lets Run's type switch be
+// exhaustive.
 type AnyScenario interface {
 	anyScenario()
 }
 
-// Run executes the scenario with default runner options — the sequential
-// engine unless opts say otherwise.
+// Run executes the scenario with default runner options — EngineSharded
+// with one inline worker unless opts say otherwise.
 func Run(ctx context.Context, s AnyScenario, opts ...RunnerOption) (Result, error) {
 	return NewRunner(opts...).Run(ctx, s)
 }
@@ -204,8 +177,8 @@ func Run(ctx context.Context, s AnyScenario, opts ...RunnerOption) (Result, erro
 // super-step and Transmissions the interactions to convergence,
 // otherwise Informed is 0, FirstAllInformed -1 and Transmissions the
 // total (budget-censored) interactions. Programs that need the
-// population-specific fields (Measure, final states) keep using
-// RunPopulation.
+// population-specific fields (Measure, final states) use
+// Runner.RunPopulation.
 func (r Runner) Run(ctx context.Context, s AnyScenario) (Result, error) {
 	switch sc := s.(type) {
 	case Scenario:
@@ -213,13 +186,13 @@ func (r Runner) Run(ctx context.Context, s AnyScenario) (Result, error) {
 	case *Scenario:
 		return r.runScenario(ctx, *sc)
 	case PopulationScenario:
-		pres, err := r.runPopulation(ctx, sc)
+		pres, err := r.RunPopulation(ctx, sc)
 		if err != nil {
 			return Result{}, err
 		}
 		return populationResult(r.engine, sc.N, pres), nil
 	case *PopulationScenario:
-		pres, err := r.runPopulation(ctx, *sc)
+		pres, err := r.RunPopulation(ctx, *sc)
 		if err != nil {
 			return Result{}, err
 		}
@@ -272,17 +245,12 @@ func (r Runner) runScenario(ctx context.Context, s Scenario) (Result, error) {
 		}
 	}
 	switch r.engine {
-	case EngineSequential, EngineSharded:
+	case EngineSharded:
 		if r.faults != nil {
 			return Result{}, fmt.Errorf("regcast: WithTransportFaults requires a transport engine, not %v", r.engine)
 		}
 		return r.runSimulation(ctx, s)
-	case EngineGoroutinePerNode:
-		if r.faults != nil {
-			return Result{}, fmt.Errorf("regcast: WithTransportFaults requires a transport engine, not %v", r.engine)
-		}
-		return r.runGoroutinePerNode(ctx, s)
-	case EngineGossipTransport, EngineTCPTransport, EngineDaemonTransport:
+	case EngineGossipTransport, EngineDaemonTransport:
 		return r.runTransport(ctx, s)
 	default:
 		return Result{}, fmt.Errorf("regcast: unknown engine %v", r.engine)
@@ -316,15 +284,8 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// runSimulation drives the sequential or sharded phone-call engine.
+// runSimulation drives the phone-call engine.
 func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
-	workers := 0
-	if r.engine == EngineSharded {
-		workers = r.workers
-		if workers == 0 {
-			workers = WorkersAuto
-		}
-	}
 	cfg := phonecall.Config{
 		Topology:           s.topo,
 		Protocol:           s.proto,
@@ -338,7 +299,7 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		RecordRounds:       s.recordRounds,
 		TrackEdgeUse:       s.trackEdgeUse,
 		StopEarly:          s.stopEarly,
-		Workers:            workers,
+		Workers:            r.workers,
 		Shards:             r.shards,
 		DisableFastPath:    r.noFastPath,
 		Observer:           s.observer(),
@@ -362,67 +323,6 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 	}, ctxErr(ctx)
 }
 
-// runGoroutinePerNode drives internal/runtime: one goroutine per node.
-func (r Runner) runGoroutinePerNode(ctx context.Context, s Scenario) (Result, error) {
-	if s.dynamic() {
-		return Result{}, fmt.Errorf("regcast: the %v engine requires a static topology (churn needs a simulation engine)", r.engine)
-	}
-	if s.dial != DialUniform {
-		return Result{}, fmt.Errorf("regcast: the %v engine supports only DialUniform", r.engine)
-	}
-	if s.avoidRecent > 0 {
-		return Result{}, fmt.Errorf("regcast: the %v engine does not implement dial memory (WithAvoidRecent)", r.engine)
-	}
-	if s.trackEdgeUse {
-		return Result{}, fmt.Errorf("regcast: the %v engine does not implement the edge-use census (WithTrackEdgeUse)", r.engine)
-	}
-	if s.geometricFaults {
-		return Result{}, fmt.Errorf("regcast: the %v engine does not implement geometric fault skipping (WithGeometricFaults)", r.engine)
-	}
-	obs := s.observer()
-	var collector *roundCollector
-	if s.recordRounds {
-		// The concurrent runtime has no trace retention of its own; feed
-		// Result.PerRound from the same streaming path observers use.
-		collector = &roundCollector{}
-		if obs == nil {
-			obs = collector
-		} else {
-			obs = multiObserver{collector, obs}
-		}
-	}
-	res, err := runtime.Run(runtime.Config{
-		Topology:           s.topo,
-		Protocol:           s.proto,
-		Source:             s.source,
-		Seed:               s.runSeed(),
-		ChannelFailureProb: s.channelFailure,
-		MessageLossProb:    s.messageLoss,
-		StopEarly:          s.stopEarly,
-		Observer:           obs,
-		Halt:               haltFor(ctx),
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	n := s.topo.NumNodes()
-	out := Result{
-		Engine:           r.engine,
-		Rounds:           res.Rounds,
-		Informed:         res.Informed,
-		AliveNodes:       n,
-		AllInformed:      res.AllInformed,
-		FirstAllInformed: res.FirstAllInformed,
-		Transmissions:    res.Transmissions,
-		ChannelsDialed:   res.ChannelsDialed,
-		InformedAt:       res.InformedAt,
-	}
-	if collector != nil {
-		out.PerRound = collector.rounds
-	}
-	return out, ctxErr(ctx)
-}
-
 // runTransport executes the scenario as anti-entropy gossip over a real
 // transport. The protocol contributes its fan-out (Choices) and tick
 // budget (Horizon); the push/pull schedule itself is the transport
@@ -441,6 +341,11 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 	}
 	g := st.G
 	n := g.NumNodes()
+	if r.faults != nil {
+		if err := checkFaultNodes(*r.faults, n); err != nil {
+			return Result{}, err
+		}
+	}
 	mailbox := r.mailbox
 	if mailbox == 0 {
 		mailbox = 1024
@@ -451,8 +356,6 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		err error
 	)
 	switch r.engine {
-	case EngineTCPTransport:
-		tr, err = transport.NewTCP(n, mailbox)
 	case EngineDaemonTransport:
 		tr, err = transport.NewDaemon(transport.DaemonConfig{
 			Nodes:   n,
@@ -561,6 +464,24 @@ func (r Runner) runTransport(ctx context.Context, s Scenario) (Result, error) {
 		res.Transport = &h
 	}
 	return res, ctxErr(ctx)
+}
+
+// checkFaultNodes rejects crash and partition windows that name a node
+// outside [0, n): the fault plan would accept them and never fire.
+func checkFaultNodes(cfg FaultConfig, n int) error {
+	for _, w := range cfg.Crashes {
+		if w.Node < 0 || w.Node >= n {
+			return fmt.Errorf("regcast: crash window names node %d, outside [0,%d)", w.Node, n)
+		}
+	}
+	for _, w := range cfg.Partitions {
+		for _, v := range w.A {
+			if v < 0 || v >= n {
+				return fmt.Errorf("regcast: partition window names node %d, outside [0,%d)", v, n)
+			}
+		}
+	}
+	return nil
 }
 
 // waitQuiescent lets a tick's packets drain: transports deliver

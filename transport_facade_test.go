@@ -65,12 +65,3 @@ func transportSmoke(t *testing.T, engine regcast.Engine) {
 func TestGossipTransportRoundTrip(t *testing.T) {
 	transportSmoke(t, regcast.EngineGossipTransport)
 }
-
-// TestTCPTransportRoundTrip proves the facade reaches real TCP sockets:
-// the same Scenario, JSON packets on loopback connections.
-func TestTCPTransportRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping loopback TCP smoke test")
-	}
-	transportSmoke(t, regcast.EngineTCPTransport)
-}
