@@ -61,17 +61,16 @@
 // split PRNG streams, shard-order merge — so traces are bit-identical
 // for every worker count.
 //
-// The population engine auto-engages a compiled fast path that runs the
-// bit-identical trace to its reference interpreter: protocols declaring
-// a small state space (TablePairProtocol, RingTableProtocol) have their
-// transition function compiled into a dense lookup table, protocols
-// whose measure factors through state occupancy (CountsPairProtocol,
-// e.g. NewApproxMajority) get an incrementally-maintained occupancy
-// vector in place of the O(n) scan, and wide protocols can supply a
-// fused batch kernel (BatchPairProtocol); pair draws are always batched
-// into preallocated PairDraw buffers on the exact reference streams.
-// WithoutPopulationFastPath (flag -pop-fastpath=false) forces the
-// reference components for cross-validation and A/B benchmarks.
+// The population engine picks compiled components from the protocol
+// alone, each running the bit-identical trace to per-pair Transition
+// calls: protocols declaring a small state space (TablePairProtocol,
+// RingTableProtocol) have their transition function compiled into a
+// dense lookup table, protocols whose measure factors through state
+// occupancy (CountsPairProtocol, e.g. NewApproxMajority) get an
+// incrementally-maintained occupancy vector in place of the O(n) scan,
+// and wide protocols can supply a fused batch kernel
+// (BatchPairProtocol); pair draws are always batched into preallocated
+// PairDraw buffers.
 //
 // Behind the facade: the four-choice phased broadcast protocols
 // (internal/core), the random phone call simulator with its sharded

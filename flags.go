@@ -29,11 +29,6 @@ type CommonFlags struct {
 	// topology flags apply. Validate parses it and TopologySpec returns
 	// the parsed spec.
 	Topology string
-	// PopFastPath mirrors the population engine's two-path contract on
-	// the command line: true (the default) lets the engine auto-engage
-	// its compiled fast path, false forces the reference per-pair
-	// components — the cross-validation and A/B-benchmark switch.
-	PopFastPath bool
 
 	scheduler Scheduler
 	spec      TopologySpec
@@ -50,8 +45,6 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 		"engine family: rounds = phone-call round model, interactions = population-protocol pairwise interactions")
 	fs.StringVar(&f.Topology, "topology", "",
 		"topology spec override, family:key=val,... (e.g. hypercube:dim=27, torus:rows=64,cols=64, gnp-stream:n=4096,p=0.004, regular:n=4096,d=8; see regcast.ParseTopologySpec)")
-	fs.BoolVar(&f.PopFastPath, "pop-fastpath", true,
-		"population engine fast path (table/counts/batch kernels); false forces the reference per-pair components")
 	return f
 }
 
@@ -87,14 +80,9 @@ func (f *CommonFlags) TopologySpec() TopologySpec { return f.spec }
 func (f *CommonFlags) Rand() *Rand { return NewRand(f.Seed) }
 
 // RunnerOptions translates the -workers flag into the Runner's worker
-// count — the single definition of the flag's semantics — plus the
-// population fast-path switch when -pop-fastpath=false.
+// count — the single definition of the flag's semantics.
 func (f *CommonFlags) RunnerOptions() []RunnerOption {
-	opts := []RunnerOption{WithWorkers(f.Workers)}
-	if !f.PopFastPath {
-		opts = append(opts, WithoutPopulationFastPath())
-	}
-	return opts
+	return []RunnerOption{WithWorkers(f.Workers)}
 }
 
 // Runner builds the Runner the flags select.

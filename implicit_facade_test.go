@@ -39,8 +39,9 @@ func fingerprint(res regcast.Result) [6]uint64 {
 
 // TestImplicitMatchesDenseTraces pins that every implicit family replays
 // the exact trace of its materialised twin, across protocols, engines and
-// worker counts — including the forced reference path, so the implicit
-// fast path, the CSR fast path and the interface path all agree.
+// worker counts — including the dense graph behind the bare Topology
+// interface, so the implicit view, the CSR view and the interface adapter
+// all agree.
 func TestImplicitMatchesDenseTraces(t *testing.T) {
 	engines := []struct {
 		name string
@@ -49,7 +50,6 @@ func TestImplicitMatchesDenseTraces(t *testing.T) {
 		{"sequential", nil},
 		{"sharded-w1", []regcast.RunnerOption{regcast.WithWorkers(1)}},
 		{"sharded-w4", []regcast.RunnerOption{regcast.WithWorkers(4)}},
-		{"no-fast-path", []regcast.RunnerOption{regcast.WithoutFastPath()}},
 	}
 	protos := []struct {
 		name string
@@ -88,6 +88,9 @@ func TestImplicitMatchesDenseTraces(t *testing.T) {
 				dense := fingerprint(run(pair.dense, eng.opts))
 				if imp != dense {
 					t.Errorf("%s: implicit %v != dense %v", label, imp, dense)
+				}
+				if viewless := fingerprint(run(viewlessSpec{pair.dense}, eng.opts)); viewless != dense {
+					t.Errorf("%s: viewless %v != dense %v", label, viewless, dense)
 				}
 			}
 		}

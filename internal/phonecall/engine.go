@@ -51,23 +51,6 @@ type Config struct {
 	// MessageLossProb is the probability that an individual transmission is
 	// lost in transit. Lost transmissions still count as transmissions.
 	MessageLossProb float64
-	// GeometricFaults selects the randomness-efficient fault sampler: the
-	// per-decision Bernoulli draws for ChannelFailureProb and
-	// MessageLossProb are replaced by Geometric(p) skip counters per PRNG
-	// stream (one draw per fault event instead of one per decision). The
-	// fault processes are distribution-identical, but the stream is
-	// consumed in a different order, so traces differ bit-wise from the
-	// default Bernoulli mode — which is why this is an explicit opt-in
-	// compatibility switch rather than the default. Within geometric mode
-	// all determinism contracts hold unchanged (same seed => same trace,
-	// worker-count independence, fast path bit-identical to the reference
-	// path).
-	GeometricFaults bool
-	// DisableFastPath forces the reference interface-dispatch path even on
-	// a frozen Static topology. The fast path is bit-identical to the
-	// reference path (golden tests pin this), so the switch exists for
-	// verification and benchmarking, not for correctness workarounds.
-	DisableFastPath bool
 	// DialStrategy selects the neighbour-selection discipline (default
 	// DialUniform). DialQuasirandom is incompatible with AvoidRecent.
 	DialStrategy DialStrategy
@@ -160,29 +143,21 @@ type Engine struct {
 
 	dialTargets []int32 // flat n×k; Uninformed (-1) marks "no channel"
 
-	// CSR fast path (see fastpath.go): when the topology exposes an
-	// epoch-stamped CSR view (CSRViewer — frozen Static graphs and the
-	// churning overlay alike), the round loops index these raw arrays
-	// instead of calling Topology.Degree/Neighbor/Alive through the
-	// interface. aliveBits is the view's liveness bitset (nil = every id
-	// alive, the frozen-graph case); csrEpoch is the epoch the slices
-	// were fetched at — after every Stepper.Step the engine re-fetches
-	// the view iff the epoch advanced (refreshCSR).
-	fast      bool
-	fastView  CSRViewer
+	// Adjacency view (see dial.go). NewEngine takes the topology's CSR
+	// view (CSRViewer), else its computed view (ImplicitViewer), else
+	// wraps it in viewAdapter, so the round loops never call
+	// Topology.Degree/Neighbor/Alive. A CSR view fills csrOff/csrAdj, a
+	// computed one fills nbrs; aliveBits is the view's liveness bitset
+	// (nil = every id alive) and epoch the epoch it was fetched at —
+	// after every Stepper.Step the engine re-fetches the view iff the
+	// epoch advanced (refreshView).
+	csrView   CSRViewer
+	impView   ImplicitViewer
 	csrOff    []int32
 	csrAdj    []int32
+	nbrs      ImplicitNeighbors
 	aliveBits []uint64
-	csrEpoch  uint64
-
-	// Implicit fast path (see fastpath_implicit.go): when the topology
-	// exposes computable adjacency (ImplicitViewer) and no CSR view, the
-	// dial samplers call impNbrs.Degree/NeighborAt arithmetic instead of
-	// indexing csrOff/csrAdj — no adjacency array is ever built. All
-	// other fast-path machinery (aliveBits, csrEpoch, the push/pull/shard
-	// loops, which only read dialTargets) is shared unchanged.
-	impView ImplicitViewer
-	impNbrs ImplicitNeighbors
+	epoch     uint64
 
 	// shard state; see parallel.go
 	workers    int
@@ -211,16 +186,16 @@ type Engine struct {
 	budgetAlive int
 
 	// aliveCounter, when the topology supports it, answers aliveCount in
-	// O(1) instead of an O(n) Alive scan.
+	// O(1) instead of a popcount over the alive bitset.
 	aliveCounter AliveCounter
 
 	// Edge-use census (Config.TrackEdgeUse): usedEdges records undirected
 	// edges that carried a transmission; unusedDeg[v] counts v's incident
-	// edges not yet used. The fast path replaces the map with a bitset
-	// over dense edge ids (usedBits); slotEdge maps every CSR adjacency
-	// slot to its edge id (parallel edges share one id, matching the
-	// map's endpoint-keyed semantics), edgeEndA/B recover the endpoints,
-	// and dialEdge mirrors dialTargets with the dialled edge ids.
+	// edges not yet used. On a fully-alive CSR view a bitset over dense
+	// edge ids (usedBits) replaces the map; slotEdge maps every CSR
+	// adjacency slot to its edge id (parallel edges share one id, matching
+	// the map's endpoint-keyed semantics), edgeEndA/B recover the
+	// endpoints, and dialEdge mirrors dialTargets with the dialled edge ids.
 	usedEdges map[int64]struct{}
 	unusedDeg []int32
 	slotEdge  []int32
@@ -282,25 +257,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 		n:     n,
 		k:     cfg.Protocol.Choices(),
 	}
-	// The zero-interface fast path engages on any topology exposing an
-	// epoch-stamped CSR view — frozen Static graphs and churning overlays
-	// alike: the CSR arrays are fetched once (and re-fetched only when the
-	// epoch advances after a churn Step), and every per-node Degree/
-	// Neighbor/Alive interface call in the round loops disappears
-	// (fastpath.go).
-	if cv, ok := cfg.Topology.(CSRViewer); ok && !cfg.DisableFastPath {
-		e.fast = true
-		e.fastView = cv
-		e.csrOff, e.csrAdj, e.aliveBits, e.csrEpoch = cv.CSRView()
-	} else if iv, ok := cfg.Topology.(ImplicitViewer); ok && !cfg.DisableFastPath {
-		// The implicit fast path: same round loops, but the dial samplers
-		// compute neighbours arithmetically (fastpath_implicit.go) instead
-		// of indexing CSR arrays. A topology exposing both views takes the
-		// CSR branch above — if the arrays exist, indexing them is cheaper
-		// than recomputing.
-		e.fast = true
+	// The round loops read adjacency and liveness from a view only: the
+	// CSR arrays when the topology has them (indexing beats recomputing),
+	// else the computed view, else the interface adapter. The view is
+	// fetched here and re-fetched only when its epoch advances after a
+	// churn Step.
+	if cv, ok := cfg.Topology.(CSRViewer); ok {
+		e.csrView = cv
+		e.csrOff, e.csrAdj, e.aliveBits, e.epoch = cv.CSRView()
+	} else {
+		iv, ok := cfg.Topology.(ImplicitViewer)
+		if !ok {
+			iv = &viewAdapter{Topology: cfg.Topology}
+		}
 		e.impView = iv
-		e.impNbrs, e.aliveBits, e.csrEpoch = iv.ImplicitView()
+		e.nbrs, e.aliveBits, e.epoch = iv.ImplicitView()
 	}
 	e.aliveCounter, _ = cfg.Topology.(AliveCounter)
 	e.informedAt = make([]int32, n)
@@ -334,22 +305,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if _, dynamic := cfg.Topology.(Stepper); dynamic {
 			return nil, fmt.Errorf("phonecall: TrackEdgeUse requires a static topology")
 		}
-		// The dense-edge-id census enumerates every CSR slot, which is only
-		// well-defined on a fully-alive materialised view (dead rows hold
-		// unspecified entries, and an implicit topology has no slots to
-		// enumerate); a partially-alive CSR topology or an implicit one
-		// takes the reference path with the endpoint-keyed map instead.
-		if e.aliveBits != nil || e.impNbrs != nil {
-			e.fast = false
-			e.fastView = nil
-			e.csrOff, e.csrAdj, e.aliveBits = nil, nil, nil
-			e.impView, e.impNbrs = nil, nil
-		}
 		e.unusedDeg = make([]int32, n)
 		for v := 0; v < n; v++ {
 			e.unusedDeg[v] = int32(cfg.Topology.Degree(v))
 		}
-		if e.fast {
+		// The dense-edge-id census enumerates every CSR slot, which is only
+		// well-defined on a fully-alive CSR view (dead rows hold
+		// unspecified entries, and a computed view has no slots to
+		// enumerate); every other view keys the census by endpoints.
+		if e.csrView != nil && e.aliveBits == nil {
 			e.initEdgeCensus()
 		} else {
 			e.usedEdges = make(map[int64]struct{})
@@ -412,20 +376,7 @@ func (e *Engine) noteCompletion(res *Result, t, informedCount int, churning bool
 // finishResult fills the end-of-run summary fields from the final state.
 func (e *Engine) finishResult(res *Result) {
 	res.AliveNodes = e.aliveCount()
-	res.Informed = 0
-	if e.fast {
-		for v := 0; v < e.n; v++ {
-			if e.aliveFast(v) && e.informedAt[v] != Uninformed {
-				res.Informed++
-			}
-		}
-	} else {
-		for v := 0; v < e.n; v++ {
-			if e.topo.Alive(v) && e.informedAt[v] != Uninformed {
-				res.Informed++
-			}
-		}
-	}
+	res.Informed = e.recount()
 	res.AllInformed = res.Informed == res.AliveNodes && res.AliveNodes > 0
 	res.InformedAt = append([]int32(nil), e.informedAt...)
 }
@@ -451,61 +402,18 @@ func (e *Engine) markUsedKey(key int64) {
 	e.unusedDeg[int(key&0xffffffff)]--
 }
 
-// dialState bundles a PRNG stream with its reusable sampling scratch and
-// the geometric fault-skip counters. Every shard owns its own, which is
-// what makes the per-shard passes race-free and deterministic regardless
-// of worker count.
+// dialState bundles a PRNG stream with its reusable sampling scratch.
+// Every shard owns its own, which is what makes the per-shard passes
+// race-free and deterministic regardless of worker count.
 type dialState struct {
 	rng     *xrand.Rand
 	dialIdx []int
 	scratch []int
-
-	// chanGap/lossGap are the Config.GeometricFaults skip counters: the
-	// number of fault-free decisions left before the next channel failure
-	// / message loss on this stream (-1 = not drawn yet; counters are
-	// drawn lazily so a stream that never reaches a decision point never
-	// consumes randomness for it).
-	chanGap int
-	lossGap int
 }
 
 // newDialState builds a dialState for one PRNG stream.
 func newDialState(rng *xrand.Rand, k int) dialState {
-	return dialState{rng: rng, dialIdx: make([]int, 0, k), chanGap: -1, lossGap: -1}
-}
-
-// chanFails decides whether the next dialled channel fails to establish.
-// Callers must guard with ChannelFailureProb > 0.
-func (e *Engine) chanFails(ds *dialState) bool {
-	if !e.cfg.GeometricFaults {
-		return ds.rng.Bool(e.cfg.ChannelFailureProb)
-	}
-	if ds.chanGap < 0 {
-		ds.chanGap = ds.rng.Geometric(e.cfg.ChannelFailureProb)
-	}
-	if ds.chanGap == 0 {
-		ds.chanGap = -1
-		return true
-	}
-	ds.chanGap--
-	return false
-}
-
-// msgLost decides whether the next transmission is lost in transit.
-// Callers must guard with MessageLossProb > 0.
-func (e *Engine) msgLost(ds *dialState) bool {
-	if !e.cfg.GeometricFaults {
-		return ds.rng.Bool(e.cfg.MessageLossProb)
-	}
-	if ds.lossGap < 0 {
-		ds.lossGap = ds.rng.Geometric(e.cfg.MessageLossProb)
-	}
-	if ds.lossGap == 0 {
-		ds.lossGap = -1
-		return true
-	}
-	ds.lossGap--
-	return false
+	return dialState{rng: rng, dialIdx: make([]int, 0, k)}
 }
 
 // scratchFor returns a scratch slice with capacity >= n for DistinctK.
@@ -522,108 +430,6 @@ func (e *Engine) clearDialRow(v int) {
 	for j := 0; j < e.k; j++ {
 		e.dialTargets[base+j] = Uninformed
 	}
-}
-
-// sampleDialsFor fills e.dialTargets for node v: min(k, deg) distinct
-// neighbours, with dead targets and failed channels recorded as -1. All
-// randomness is drawn from ds, the stream of the shard that owns node v.
-// This is the reference interface path; sampleDialsFast is its CSR twin.
-func (e *Engine) sampleDialsFor(v int, ds *dialState) {
-	base := v * e.k
-	for j := 0; j < e.k; j++ {
-		e.dialTargets[base+j] = Uninformed
-	}
-	deg := e.topo.Degree(v)
-	if deg == 0 {
-		return
-	}
-	if e.cfg.AvoidRecent > 0 {
-		e.sampleWithMemory(v, deg, ds)
-		return
-	}
-	if e.cfg.DialStrategy == DialQuasirandom {
-		e.sampleQuasirandom(v, deg, ds)
-		return
-	}
-	kk := e.k
-	if kk > deg {
-		kk = deg
-	}
-	ds.dialIdx = ds.rng.DistinctK(ds.dialIdx, kk, deg, ds.scratchFor(deg))
-	for j, idx := range ds.dialIdx {
-		w := e.topo.Neighbor(v, idx)
-		if !e.topo.Alive(w) {
-			continue
-		}
-		if e.cfg.ChannelFailureProb > 0 && e.chanFails(ds) {
-			continue
-		}
-		e.dialTargets[base+j] = int32(w)
-	}
-}
-
-// sampleQuasirandom dials the next k entries of v's neighbour list,
-// drawing a uniform start position on the first dial (Doerr et al.'s
-// quasirandom model).
-func (e *Engine) sampleQuasirandom(v, deg int, ds *dialState) {
-	base := v * e.k
-	if e.listCursor[v] < 0 {
-		e.listCursor[v] = int32(ds.rng.IntN(deg))
-	}
-	kk := e.k
-	if kk > deg {
-		kk = deg
-	}
-	cur := int(e.listCursor[v])
-	for j := 0; j < kk; j++ {
-		w := e.topo.Neighbor(v, (cur+j)%deg)
-		if !e.topo.Alive(w) {
-			continue
-		}
-		if e.cfg.ChannelFailureProb > 0 && e.chanFails(ds) {
-			continue
-		}
-		e.dialTargets[base+j] = int32(w)
-	}
-	e.listCursor[v] = int32((cur + kk) % deg)
-}
-
-// sampleWithMemory implements footnote 2's sequentialised model: one dial
-// per round, chosen uniformly among neighbours not contacted in the last
-// AvoidRecent rounds. If every neighbour is recent (possible only when
-// degree <= AvoidRecent), the choice falls back to uniform.
-func (e *Engine) sampleWithMemory(v, deg int, ds *dialState) {
-	r := e.cfg.AvoidRecent
-	memBase := v * r
-	choice := -1
-	for attempt := 0; attempt < 4*deg+16; attempt++ {
-		idx := ds.rng.IntN(deg)
-		w := e.topo.Neighbor(v, idx)
-		recent := false
-		for i := 0; i < r; i++ {
-			if e.recent[memBase+i] == int32(w) {
-				recent = true
-				break
-			}
-		}
-		if !recent {
-			choice = w
-			break
-		}
-	}
-	if choice < 0 {
-		choice = e.topo.Neighbor(v, ds.rng.IntN(deg))
-	}
-	// Record the partner regardless of channel failure: the node dialled it.
-	e.recent[memBase+e.recentPos[v]] = int32(choice)
-	e.recentPos[v] = (e.recentPos[v] + 1) % r
-	if !e.topo.Alive(choice) {
-		return
-	}
-	if e.cfg.ChannelFailureProb > 0 && e.chanFails(ds) {
-		return
-	}
-	e.dialTargets[v*e.k] = int32(choice)
 }
 
 // dialBudget returns the number of dials the model mandates per round.
@@ -653,77 +459,50 @@ func (e *Engine) refreshBudget(joined []int) {
 
 // aliveCount returns the number of alive nodes.
 func (e *Engine) aliveCount() int {
-	if e.fast && e.aliveBits == nil {
-		return e.n
-	}
-	if _, ok := e.topo.(Static); ok {
+	if e.aliveBits == nil {
 		return e.n
 	}
 	if e.aliveCounter != nil {
 		return e.aliveCounter.AliveCount()
 	}
-	if e.fast {
-		c := 0
-		for _, w := range e.aliveBits {
-			c += bits.OnesCount64(w)
-		}
-		return c
-	}
 	c := 0
-	for v := 0; v < e.n; v++ {
-		if e.topo.Alive(v) {
-			c++
-		}
+	for _, w := range e.aliveBits {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
 
-// aliveFast reports liveness from the CSR view's bitset (nil = all
-// alive). Fast-path loops use it exactly where the reference path calls
-// Topology.Alive; neither draws randomness, which is what keeps the two
-// paths bit-identical.
-func (e *Engine) aliveFast(v int) bool {
+// isAlive reports liveness from the view's bitset (nil = all alive). The
+// round loops call it wherever a node's liveness matters; it draws no
+// randomness, so the layout of the view never changes a trace.
+func (e *Engine) isAlive(v int) bool {
 	return e.aliveBits == nil || e.aliveBits[uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// refreshCSR re-fetches the topology's fast-path view (CSR or implicit)
-// after a churn Step, but only when the epoch advanced — the contract
-// that lets churn runs keep the fast path between churn events at the
-// cost of one epoch compare per round.
-func (e *Engine) refreshCSR() {
-	if e.impView != nil {
-		nbrs, alive, epoch := e.impView.ImplicitView()
-		if epoch == e.csrEpoch {
-			return
+// refreshView re-fetches the topology's view after a churn Step, but
+// only when the epoch advanced — one epoch compare per round keeps a
+// churning topology on its view between churn events.
+func (e *Engine) refreshView() {
+	if e.csrView != nil {
+		off, adj, alive, epoch := e.csrView.CSRView()
+		if epoch != e.epoch {
+			e.csrOff, e.csrAdj, e.aliveBits, e.epoch = off, adj, alive, epoch
 		}
-		e.impNbrs, e.aliveBits, e.csrEpoch = nbrs, alive, epoch
 		return
 	}
-	if e.fastView == nil {
-		return
+	nbrs, alive, epoch := e.impView.ImplicitView()
+	if epoch != e.epoch {
+		e.nbrs, e.aliveBits, e.epoch = nbrs, alive, epoch
 	}
-	off, adj, alive, epoch := e.fastView.CSRView()
-	if epoch == e.csrEpoch {
-		return
-	}
-	e.csrOff, e.csrAdj, e.aliveBits, e.csrEpoch = off, adj, alive, epoch
 }
 
-// recount recomputes the informed-alive count after churn invalidated the
-// incremental counter (on the fast path over the CSR view's bitset —
-// callers refresh the view first).
+// recount counts the informed alive nodes: after churn invalidated the
+// incremental counter (callers refresh the view first) and at the end of
+// a run.
 func (e *Engine) recount() int {
 	c := 0
-	if e.fast {
-		for v := 0; v < e.n; v++ {
-			if e.aliveFast(v) && e.informedAt[v] != Uninformed {
-				c++
-			}
-		}
-		return c
-	}
 	for v := 0; v < e.n; v++ {
-		if e.topo.Alive(v) && e.informedAt[v] != Uninformed {
+		if e.isAlive(v) && e.informedAt[v] != Uninformed {
 			c++
 		}
 	}

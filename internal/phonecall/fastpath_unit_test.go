@@ -8,11 +8,11 @@ import (
 	"regcast/internal/xrand"
 )
 
-// TestFastPathEngagement pins when the CSR fast path engages: on any
-// topology exposing an epoch-stamped CSR view (frozen Static graphs and
-// CSRViewer implementations with liveness bitsets alike), and never when
-// DisableFastPath asks for the reference path or the topology offers no
-// view.
+// TestFastPathEngagement pins which view NewEngine takes: the CSR view
+// of any CSRViewer (frozen Static graphs and partially-alive views
+// alike), the computed view of an ImplicitViewer, and viewAdapter for a
+// topology offering neither — with the census keyed by endpoints
+// everywhere but on a fully-alive CSR view.
 func TestFastPathEngagement(t *testing.T) {
 	g := testGraph(t, 64, 4, 1)
 	base := Config{Topology: NewStatic(g), Protocol: pushProto{1, 10}, RNG: xrand.New(1)}
@@ -21,34 +21,51 @@ func TestFastPathEngagement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.fast {
-		t.Error("Static topology did not engage the fast path")
-	}
-	if e.csrOff == nil || e.csrAdj == nil {
-		t.Error("fast engine is missing its CSR view")
+	if e.csrView == nil || e.csrOff == nil || e.csrAdj == nil || e.nbrs != nil {
+		t.Error("Static topology did not take its CSR view")
 	}
 	if e.aliveBits != nil {
 		t.Error("Static view carries an alive bitset; it should be nil (all alive)")
 	}
 
-	ref := base
-	ref.DisableFastPath = true
-	e, err = NewEngine(ref)
+	wrapped := base
+	wrapped.Topology = struct{ Topology }{NewStatic(g)}
+	e, err = NewEngine(wrapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.fast {
-		t.Error("DisableFastPath did not force the reference path")
+	if _, ok := e.impView.(*viewAdapter); !ok || e.csrView != nil {
+		t.Error("a topology without a view did not take the adapter")
+	}
+	if e.aliveBits != nil {
+		t.Error("adapter over a fully-alive topology carries an alive bitset")
 	}
 
 	dyn := base
-	dyn.Topology = &churnTopo{g: g}
+	dyn.Topology = &churnTopo{g: g, round: 3} // highest id dead
 	e, err = NewEngine(dyn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.fast {
-		t.Error("a Stepper without a CSR view engaged the fast path")
+	if _, ok := e.impView.(*viewAdapter); !ok {
+		t.Error("a Stepper without a view did not take the adapter")
+	}
+	if e.aliveBits == nil || e.isAlive(63) || e.aliveCount() != 63 {
+		t.Errorf("adapter bitset misses the dead node (aliveCount = %d, want 63)", e.aliveCount())
+	}
+
+	h, err := graph.NewImplicitHypercube(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := base
+	imp.Topology = NewImplicit(h)
+	e, err = NewEngine(imp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.impView.(*viewAdapter); ok || e.nbrs == nil {
+		t.Error("Implicit topology did not take its computed view")
 	}
 
 	viewed := base
@@ -57,8 +74,8 @@ func TestFastPathEngagement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.fast {
-		t.Error("CSRViewer topology did not engage the fast path")
+	if e.csrView == nil {
+		t.Error("CSRViewer topology did not take its CSR view")
 	}
 	if e.aliveBits == nil {
 		t.Error("partially-alive CSR view lost its alive bitset")
@@ -67,9 +84,8 @@ func TestFastPathEngagement(t *testing.T) {
 		t.Errorf("aliveCount over the bitset = %d, want 63", e.aliveCount())
 	}
 
-	// The dense edge census needs a fully-alive view; with dead ids the
-	// engine must take the reference path (which records the census in
-	// the endpoint-keyed map).
+	// The dense edge census needs a fully-alive CSR view; with dead ids
+	// the engine keeps the view and keys the census by endpoints.
 	census := viewed
 	census.RecordRounds = true
 	census.TrackEdgeUse = true
@@ -77,11 +93,11 @@ func TestFastPathEngagement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.fast {
-		t.Error("edge census on a partially-alive view kept the fast path")
+	if e.csrView == nil {
+		t.Error("edge census on a partially-alive view dropped the CSR view")
 	}
-	if e.usedEdges == nil {
-		t.Error("edge census on a partially-alive view lost the reference map")
+	if e.usedEdges == nil || e.usedBits != nil {
+		t.Error("edge census on a partially-alive view did not key the census by endpoints")
 	}
 }
 
@@ -172,49 +188,46 @@ func TestEdgeCensusBitset(t *testing.T) {
 	}
 }
 
-// TestFastPathZeroAllocsSteadyState is the CSR fast path's allocation
+// TestFastPathZeroAllocsSteadyState is the round loop's allocation
 // guard: with no observer, the steady-state round loop with its shard
 // passes inline (the default Workers 0 and an explicit Workers 1)
-// allocates nothing — including in geometric fault-skipping mode, whose
-// skip counters live in dialState.
-// Two runs differing only in horizon must allocate identically; any
-// per-round allocation would surface hundreds of times over the gap.
+// allocates nothing — on a CSR view, under message loss, and through
+// viewAdapter. Two runs differing only in horizon must allocate
+// identically; any per-round allocation would surface hundreds of times
+// over the gap.
 func TestFastPathZeroAllocsSteadyState(t *testing.T) {
 	g := testGraph(t, 256, 8, 6)
 	for _, tc := range []struct {
-		name      string
-		workers   int
-		geometric bool
-		loss      float64
+		name    string
+		workers int
+		topo    Topology
+		loss    float64
 	}{
-		{"sequential", 0, false, 0},
-		{"sharded-inline", 1, false, 0},
-		{"sequential-geometric", 0, true, 0.2},
-		{"sharded-geometric", 1, true, 0.2},
+		{"sequential", 0, NewStatic(g), 0},
+		{"sharded-inline", 1, NewStatic(g), 0},
+		{"sequential-message-loss", 0, NewStatic(g), 0.2},
+		{"sharded-message-loss", 1, NewStatic(g), 0.2},
+		{"adapter", 1, struct{ Topology }{NewStatic(g)}, 0.2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := func(horizon int) float64 {
 				return testing.AllocsPerRun(5, func() {
 					e, err := NewEngine(Config{
-						Topology:        NewStatic(g),
+						Topology:        tc.topo,
 						Protocol:        pushProto{1, horizon},
 						RNG:             xrand.New(5),
 						Workers:         tc.workers,
-						GeometricFaults: tc.geometric,
 						MessageLossProb: tc.loss,
 					})
 					if err != nil {
 						t.Fatal(err)
-					}
-					if !e.fast {
-						t.Fatal("fast path did not engage")
 					}
 					e.Run()
 				})
 			}
 			short, long := allocs(60), allocs(360)
 			if extra := long - short; extra >= 1 {
-				t.Errorf("fast path allocates per round: %.1f extra allocs over 300 extra rounds (%.3f/round)",
+				t.Errorf("round loop allocates per round: %.1f extra allocs over 300 extra rounds (%.3f/round)",
 					extra, extra/300)
 			}
 		})
@@ -241,10 +254,10 @@ func benchDialGraph(b *testing.B, name string, n int) *graph.Graph {
 	return g
 }
 
-// BenchmarkDial measures one dial-sampling call — the engines' innermost
-// hot operation — on both paths, so sampler regressions show up without
-// running a full simulation. Grid: k in {1, 2, 4} × degree in {16, n-1}
-// × {interface reference path, CSR fast path}.
+// BenchmarkDial measures one dial-sampling call — the engine's innermost
+// hot operation — on both adjacency layouts, so sampler regressions show
+// up without running a full simulation. Grid: k in {1, 2, 4} × degree in
+// {16, n-1} × {interface topology through viewAdapter, CSR view}.
 func BenchmarkDial(b *testing.B) {
 	const n = 1024
 	for _, k := range []int{1, 2, 4} {
@@ -253,25 +266,22 @@ func BenchmarkDial(b *testing.B) {
 			for _, path := range []string{"interface", "csr"} {
 				name := fmt.Sprintf("%s/k=%d/%s", path, k, gname)
 				b.Run(name, func(b *testing.B) {
+					var topo Topology = NewStatic(g)
+					if path == "interface" {
+						topo = struct{ Topology }{topo}
+					}
 					e, err := NewEngine(Config{
-						Topology:        NewStatic(g),
-						Protocol:        pushProto{k, 10},
-						RNG:             xrand.New(1),
-						DisableFastPath: path == "interface",
+						Topology: topo,
+						Protocol: pushProto{k, 10},
+						RNG:      xrand.New(1),
 					})
 					if err != nil {
 						b.Fatal(err)
 					}
 					ds := &e.shards[0].ds
 					b.ReportAllocs()
-					if path == "csr" {
-						for i := 0; i < b.N; i++ {
-							e.sampleDialsFast(i&(n-1), ds)
-						}
-					} else {
-						for i := 0; i < b.N; i++ {
-							e.sampleDialsFor(i&(n-1), ds)
-						}
+					for i := 0; i < b.N; i++ {
+						e.sampleDials(i&(n-1), ds)
 					}
 				})
 			}

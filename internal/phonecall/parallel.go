@@ -34,7 +34,7 @@ type parShard struct {
 
 	// Per-round outputs, merged sequentially in shard-index order.
 	outbox  []int32 // candidate receivers queued by this shard
-	usedBuf []int64 // edge keys that carried a transmission (TrackEdgeUse)
+	usedBuf []int64 // edges that carried a transmission (TrackEdgeUse; see edgeRef)
 	tx      int64   // transmissions sent by this shard
 
 	_ [24]byte // pad to soften false sharing between adjacent shards
@@ -121,13 +121,11 @@ func (e *Engine) Run() Result {
 				e.isPending[w] = true
 				e.pending = append(e.pending, w)
 			}
-			if e.fast {
-				for _, id := range sh.usedBuf {
-					e.markUsedID(int32(id))
-				}
-			} else {
-				for _, key := range sh.usedBuf {
-					e.markUsedKey(key)
+			for _, ref := range sh.usedBuf {
+				if e.usedBits != nil {
+					e.markUsedID(int32(ref))
+				} else {
+					e.markUsedKey(ref)
 				}
 			}
 		}
@@ -157,7 +155,7 @@ func (e *Engine) Run() Result {
 					e.informedAt[v] = Uninformed
 				}
 			}
-			e.refreshCSR()
+			e.refreshView()
 			informedCount = e.recount()
 			e.refreshBudget(joined)
 		}
@@ -183,23 +181,13 @@ func (e *Engine) runShardPasses(t int, anyPush, anyPull, dialAll bool) {
 		// No func-value indirection here: the inline path must stay
 		// allocation-free per round, and a captured func variable would be
 		// moved to the heap by the worker closure below.
-		if e.fast {
-			for i := range e.shards {
-				e.shardPassFast(&e.shards[i], t, anyPush, anyPull, dialAll)
-			}
-		} else {
-			for i := range e.shards {
-				e.shardPass(&e.shards[i], t, anyPush, anyPull, dialAll)
-			}
+		for i := range e.shards {
+			e.shardPass(&e.shards[i], t, anyPush, anyPull, dialAll)
 		}
 		return
 	}
 	sched.Pool(e.workers, len(e.shards), func(i int) {
-		if e.fast {
-			e.shardPassFast(&e.shards[i], t, anyPush, anyPull, dialAll)
-		} else {
-			e.shardPass(&e.shards[i], t, anyPush, anyPull, dialAll)
-		}
+		e.shardPass(&e.shards[i], t, anyPush, anyPull, dialAll)
 	})
 }
 
@@ -208,44 +196,46 @@ func (e *Engine) runShardPasses(t int, anyPush, anyPull, dialAll bool) {
 // It reads informedAt (frozen during the round) and writes only the
 // shard's own dial rows, per-node dial memory/cursors, and outbox, so
 // concurrent shard passes never race. Delivery candidates are queued in
-// the outbox; global dedup happens in the sequential merge.
+// the outbox and census hits in usedBuf (edgeRef); global dedup happens
+// in the sequential merge.
 func (e *Engine) shardPass(sh *parShard, t int, anyPush, anyPull, dialAll bool) {
 	sh.tx = 0
 	sh.outbox = sh.outbox[:0]
 	sh.usedBuf = sh.usedBuf[:0]
-	track := e.usedEdges != nil
+	track := e.cfg.TrackEdgeUse
 	loss := e.cfg.MessageLossProb
+	k := e.k
 
 	for v := sh.lo; v < sh.hi; v++ {
-		alive := e.topo.Alive(v)
+		alive := e.isAlive(v)
 		ia := e.informedAt[v]
 		sender := anyPush && alive && ia != Uninformed && int(ia) < t && e.pushDec[ia]
 		if dialAll {
 			if alive {
-				e.sampleDialsFor(v, &sh.ds)
+				e.sampleDials(v, &sh.ds)
 			} else {
 				e.clearDialRow(v)
 			}
 		} else if sender {
-			e.sampleDialsFor(v, &sh.ds)
+			e.sampleDials(v, &sh.ds)
 		}
 		if !sender {
 			continue
 		}
-		base := v * e.k
-		for j := 0; j < e.k; j++ {
+		base := v * k
+		for j := 0; j < k; j++ {
 			w := e.dialTargets[base+j]
 			if w < 0 {
 				continue
 			}
 			sh.tx++
 			if track {
-				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
+				sh.usedBuf = append(sh.usedBuf, e.edgeRef(v, base+j, w))
 			}
-			if loss > 0 && e.msgLost(&sh.ds) {
+			if loss > 0 && sh.ds.rng.Bool(loss) {
 				continue
 			}
-			if e.informedAt[w] == Uninformed && e.topo.Alive(int(w)) {
+			if e.informedAt[w] == Uninformed && e.isAlive(int(w)) {
 				sh.outbox = append(sh.outbox, w)
 			}
 		}
@@ -258,12 +248,12 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPush, anyPull, dialAll bool) 
 	// dialled lets an informed, pulling callee w answer the caller v. The
 	// receiver is always the shard's own node v.
 	for v := sh.lo; v < sh.hi; v++ {
-		if !e.topo.Alive(v) {
+		if !e.isAlive(v) {
 			continue
 		}
 		uninformedCaller := e.informedAt[v] == Uninformed
-		base := v * e.k
-		for j := 0; j < e.k; j++ {
+		base := v * k
+		for j := 0; j < k; j++ {
 			w := e.dialTargets[base+j]
 			if w < 0 {
 				continue
@@ -274,9 +264,9 @@ func (e *Engine) shardPass(sh *parShard, t int, anyPush, anyPull, dialAll bool) 
 			}
 			sh.tx++
 			if track {
-				sh.usedBuf = append(sh.usedBuf, edgeKey(v, int(w)))
+				sh.usedBuf = append(sh.usedBuf, e.edgeRef(v, base+j, w))
 			}
-			if loss > 0 && e.msgLost(&sh.ds) {
+			if loss > 0 && sh.ds.rng.Bool(loss) {
 				continue
 			}
 			if uninformedCaller {

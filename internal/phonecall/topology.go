@@ -48,14 +48,12 @@ type Stepper interface {
 	Step(round int) (joined []int)
 }
 
-// CSRViewer is the optional interface behind the zero-interface fast
-// path (fastpath.go): a topology that exposes its adjacency as
-// epoch-stamped compressed-sparse-row arrays. The engine engages the
-// fast path on any topology implementing it — frozen graphs and churning
-// overlays alike — and re-fetches the view only when the epoch advances
-// (it checks once after every Stepper.Step), so churn runs execute
-// fast-path rounds between churn events instead of falling back to
-// interface dispatch permanently.
+// CSRViewer is the optional interface behind the zero-interface round
+// loops (dial.go): a topology that exposes its adjacency as
+// epoch-stamped compressed-sparse-row arrays. The engine reads any
+// topology implementing it — frozen graphs and churning overlays alike —
+// through the raw arrays, and re-fetches the view only when the epoch
+// advances (it checks once after every Stepper.Step).
 //
 // Contract:
 //
@@ -65,8 +63,8 @@ type Stepper interface {
 //     every id is alive. The bits must agree with Alive(v). The rows of
 //     dead ids are unspecified and are never read — a fixed-stride
 //     implementation may leave stale entries there.
-//   - Adjacency entries may reference dead ids; the engine re-checks
-//     target liveness exactly where the reference path calls Alive.
+//   - Adjacency entries may reference dead ids; the engine checks
+//     target liveness against the bitset.
 //   - epoch changes whenever the contents of offsets, adj or alive
 //     change. The slices may be reallocated between epochs, so consumers
 //     must re-fetch all four values when the epoch moves; while the
@@ -80,7 +78,7 @@ type CSRViewer interface {
 // arithmetic instead of stored CSR arrays. NeighborAt(v, i) for
 // i in [0, Degree(v)) must enumerate exactly the slice a materialised
 // CSR row for v would hold, in the same order — that equivalence is
-// what keeps the implicit fast path bit-identical to the dense one.
+// what keeps implicit runs bit-identical to dense ones.
 // Implementations must be goroutine-safe and must not consume any of
 // the run's randomness (seeded families replay their own streams).
 type ImplicitNeighbors interface {
@@ -88,8 +86,8 @@ type ImplicitNeighbors interface {
 	NeighborAt(v, i int) int32
 }
 
-// ImplicitViewer is the second viewer contract behind the fast path,
-// for topologies whose adjacency is computed rather than stored. It
+// ImplicitViewer is the second viewer contract, for topologies whose
+// adjacency is computed rather than stored. It
 // mirrors CSRViewer exactly — same alive-bitset semantics, same epoch
 // invalidation rules — with ImplicitNeighbors standing in for the
 // offsets/adj arrays:
@@ -98,8 +96,8 @@ type ImplicitNeighbors interface {
 //     nbrs.NeighborAt(v, i) must equal Neighbor(v, i).
 //   - alive is a bitset over node ids (bit v of alive[v/64]); nil means
 //     every id is alive. Rows of dead ids are never read.
-//   - NeighborAt may return dead ids; the engine re-checks target
-//     liveness exactly where the reference path calls Alive.
+//   - NeighborAt may return dead ids; the engine checks target
+//     liveness against the bitset.
 //   - epoch changes whenever nbrs or alive change; consumers re-fetch
 //     all three values when it moves.
 //
@@ -111,11 +109,51 @@ type ImplicitViewer interface {
 	ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, epoch uint64)
 }
 
+// viewAdapter gives a topology without a view of its own the
+// ImplicitViewer contract, so the engine has one round pass for every
+// topology: NeighborAt calls Neighbor, and every ImplicitView call
+// rebuilds the alive bitset from Alive (nil when every id is alive) and
+// bumps the epoch. The engine fetches a view only at construction and
+// after each Stepper.Step, so a viewless churning topology pays one O(n)
+// Alive scan per Step. Every topology this repository ships exposes a
+// CSR or implicit view and never reaches the adapter.
+type viewAdapter struct {
+	Topology
+	alive []uint64
+	epoch uint64
+}
+
+// NeighborAt implements ImplicitNeighbors.
+func (a *viewAdapter) NeighborAt(v, i int) int32 { return int32(a.Neighbor(v, i)) }
+
+// ImplicitView implements ImplicitViewer.
+func (a *viewAdapter) ImplicitView() (nbrs ImplicitNeighbors, alive []uint64, epoch uint64) {
+	a.epoch++
+	n := a.NumNodes()
+	if a.alive == nil {
+		a.alive = make([]uint64, (n+63)/64)
+	}
+	all := true
+	for v := 0; v < n; v++ {
+		word, bit := uint(v)>>6, uint64(1)<<(uint(v)&63)
+		if a.Alive(v) {
+			a.alive[word] |= bit
+		} else {
+			a.alive[word] &^= bit
+			all = false
+		}
+	}
+	if all {
+		return a, nil, a.epoch
+	}
+	return a, a.alive, a.epoch
+}
+
 // AliveCounter is an optional interface for topologies that can report
 // their alive-node count in O(1) (the churn overlay maintains one). The
 // engine uses it for the per-round completion check and for membership-
-// change detection in the dial-budget cache, instead of an O(n) Alive
-// scan. The count must agree with what scanning Alive would find.
+// change detection in the dial-budget cache, instead of a popcount over
+// the view's alive bitset. The count must agree with what scanning Alive would find.
 type AliveCounter interface {
 	AliveCount() int
 }
@@ -181,7 +219,7 @@ func (s Static) CSRView() (offsets, adj []int32, alive []uint64, epoch uint64) {
 }
 
 // Implicit adapts an immutable graph.Implicit family to the Topology
-// interface, exposing it to the fast path through ImplicitViewer. It is
+// interface, exposing it to the engine through ImplicitViewer. It is
 // the algebraic twin of Static: every node alive, constant epoch, no
 // stored adjacency.
 type Implicit struct {
@@ -191,7 +229,6 @@ type Implicit struct {
 var (
 	_ Topology       = Implicit{}
 	_ ImplicitViewer = Implicit{}
-	_ AliveCounter   = Implicit{}
 	_ DialBudgeter   = Implicit{}
 )
 
@@ -209,10 +246,6 @@ func (t Implicit) Neighbor(v, i int) int { return int(t.F.NeighborAt(v, i)) }
 
 // Alive implements Topology; every node of an implicit family is alive.
 func (t Implicit) Alive(int) bool { return true }
-
-// AliveCount implements AliveCounter in O(1), keeping the reference
-// path's per-round completion check off the O(n) Alive scan.
-func (t Implicit) AliveCount() int { return t.F.NumNodes() }
 
 // ImplicitView implements ImplicitViewer: the family's own arithmetic,
 // a nil alive bitset and a constant epoch.

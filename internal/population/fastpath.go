@@ -1,19 +1,18 @@
-// The population engine's fast path: table-compiled transitions, an
-// incremental occupancy measure, and batched pair draws.
+// The population engine's pair step and its compiled components:
+// table-compiled transitions, an incremental occupancy measure, and
+// batched pair draws.
 //
-// The two-path contract mirrors the phone-call engine's (see DESIGN.md,
-// "Two-path engine contract"): the reference path is the plain
-// interface-dispatch loop in population.go, the fast path below is pinned
-// bit-identical to it — same streams, same trace, same observer events —
-// for every Workers × Shards combination, and Config.DisableFastPath
-// forces the reference path for cross-validation and benchmarking. The
-// fast path engages automatically; its three components engage
-// independently, by protocol capability:
+// Every component is pinned bit-identical to the plain behaviour it
+// replaces — per-pair Transition calls, the O(n) Measure scan and the
+// per-agent ring calls — with the same streams, trace and observer
+// events for every Workers × Shards combination; the tests compare
+// against a protocol wrapped so that it declares no extension. The
+// engine picks its components from the protocol alone:
 //
 //   - Batched draws (always, pair driver): each shard's interaction quota
 //     is filled by xrand.FillPairDraws, which keeps the xoshiro state in
 //     registers for the whole block and consumes the stream exactly as
-//     the scalar IntN/IntN/Uint64 loop would.
+//     a scalar IntN/IntN/Uint64 loop would.
 //   - Devirtualised transitions (TableProtocol): when the declared state
 //     space fits (StateBound ≤ MaxTableStates) and the declared coin
 //     arity is small, Transition is compiled into a flat dense []uint64
@@ -29,7 +28,7 @@
 //
 // A protocol that misdeclares its bounds cannot corrupt the run: the
 // compiler verifies every initial state and every table output against
-// StateBound and declines (falling back to the reference behaviour of
+// StateBound and declines (falling back to the plain behaviour of
 // that component) on any violation, so table indices stay in range by
 // induction.
 package population
@@ -111,20 +110,16 @@ const (
 	fuseBlock = 256
 )
 
-// compileFastPath decides, once, at construction, which fast-path
+// compileFastPath decides, once, at construction, which compiled
 // components this run can use. It never changes a trace: every compiled
-// component is bit-identical to the reference behaviour it replaces.
+// component is bit-identical to the plain behaviour it replaces.
 func (e *engine) compileFastPath() {
-	if e.cfg.DisableFastPath {
-		return
-	}
 	if e.cfg.Ring != nil {
 		e.compileRingTable()
 		return
 	}
-	e.fast = true // batched draws engage for every pair protocol
 	if _, ok := e.cfg.Observer.(InteractionObserver); ok {
-		// Per-interaction observation keeps the reference apply loop (the
+		// Per-interaction observation keeps the observed apply loop (the
 		// callback dominates it) and the scan measure (counts are
 		// maintained only by the specialised apply loops).
 		return
@@ -242,27 +237,28 @@ func (e *engine) compileRingTable() {
 	e.ringNeeds, e.ringUpd = needs, upd
 	e.tshift = uint32(k)
 	e.tcoin = uint32(c)
-	e.fast = true
 }
 
-// fastPairStep is pairStep's fast twin: batched draws, then the most
-// specialised apply loop the compiled components allow. Single-threaded
-// runs fuse the two phases per shard — the shard's pair block is drawn
-// and applied while still cache-resident instead of round-tripping the
-// whole super-step's buffers through memory; with workers the draw
-// phase fans out first, exactly like the reference path. Both shapes
-// consume the per-shard streams identically, so the trace cannot
-// depend on the choice.
-func (e *engine) fastPairStep(step int) (interactions, changed int) {
+// pairStep runs one super-step of the pair driver: every shard draws its
+// interaction quota from its own stream, then the transitions apply
+// sequentially in shard order through the most specialised apply loop
+// the compiled components allow. Because draws are state-independent,
+// the drawing may run concurrently (Workers > 1). Single-threaded runs
+// fuse the two phases per shard — the shard's pair block is drawn and
+// applied while still cache-resident instead of round-tripping the
+// whole super-step's buffers through memory. Both shapes consume the
+// per-shard streams identically, so the trace cannot depend on the
+// choice.
+func (e *engine) pairStep(step int) (interactions, changed int) {
 	if _, ok := e.cfg.Observer.(InteractionObserver); ok {
-		// Per-interaction observation keeps the reference apply loop;
+		// Per-interaction observation keeps the observed apply loop;
 		// only the batched draws engage.
 		if e.workers <= 1 {
 			for i := range e.shards {
-				e.fastDrawPairs(&e.shards[i])
+				e.drawPairs(&e.shards[i])
 			}
 		} else {
-			sched.Pool(e.workers, len(e.shards), func(i int) { e.fastDrawPairs(&e.shards[i]) })
+			sched.Pool(e.workers, len(e.shards), func(i int) { e.drawPairs(&e.shards[i]) })
 		}
 		return e.applyPairs(step)
 	}
@@ -288,25 +284,24 @@ func (e *engine) fastPairStep(step int) (interactions, changed int) {
 				}
 				blk := sh.pairs[off:end]
 				sh.stream.FillPairDraws(blk, e.n)
-				changed += e.applyShardFast(blk)
+				changed += e.applyBlock(blk)
 			}
 		}
 		return interactions, changed
 	}
-	sched.Pool(e.workers, len(e.shards), func(i int) { e.fastDrawPairs(&e.shards[i]) })
+	sched.Pool(e.workers, len(e.shards), func(i int) { e.drawPairs(&e.shards[i]) })
 	for i := range e.shards {
 		pairs := e.shards[i].pairs
 		interactions += len(pairs)
-		changed += e.applyShardFast(pairs)
+		changed += e.applyBlock(pairs)
 	}
 	return interactions, changed
 }
 
-// applyShardFast applies one shard's pre-drawn block through the most
-// specialised loop available. Transitions always apply sequentially in
-// shard order — only drawing parallelises — so this is called from one
-// goroutine.
-func (e *engine) applyShardFast(pairs []pairDraw) int {
+// applyBlock applies one pre-drawn block through the most specialised
+// loop available. Transitions always apply sequentially in shard order —
+// only drawing parallelises — so this is called from one goroutine.
+func (e *engine) applyBlock(pairs []pairDraw) int {
 	switch {
 	case e.table != nil && e.counts != nil:
 		return applyTableShardCounts(pairs, e.states, e.table, e.counts, e.tshift, e.tcoin, uint32(1)<<e.tcoin-1)
@@ -321,16 +316,17 @@ func (e *engine) applyShardFast(pairs []pairDraw) int {
 	}
 }
 
-// fastDrawPairs fills a shard's full quota through the block sampler —
-// the same stream consumption as drawPairs, with the generator state in
-// registers across the block.
-func (e *engine) fastDrawPairs(sh *popShard) {
+// drawPairs fills a shard's full quota through the block sampler:
+// ordered pairs of distinct agents, uniform over the n·(n−1)
+// possibilities, plus one coin word each — all from the shard's own
+// stream, with the generator state in registers across the block.
+func (e *engine) drawPairs(sh *popShard) {
 	sh.pairs = sh.pairs[:sh.qhi-sh.qlo]
 	sh.stream.FillPairDraws(sh.pairs, e.n)
 }
 
-// applyShard is the fast apply loop for protocols without a compiled
-// table: still one Transition interface call per interaction, but over
+// applyShard is the apply loop for protocols without a compiled table
+// or batch kernel: one Transition interface call per interaction, over
 // a pre-drawn block with unconditional stores. The per-shard apply
 // helpers are free functions with minimal live state so the hot loops
 // stay register-resident — the out-of-order window then spans enough

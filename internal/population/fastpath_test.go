@@ -48,10 +48,25 @@ func fastpathCases(t *testing.T) []struct {
 	}
 }
 
-// TestFastPathMatchesReference pins the two-path contract: for every
-// protocol, every worker count, and a non-default shard count, the fast
-// path's full trace (per-step stats, final configuration, result) is
-// bit-identical to the reference path's.
+// plainProtocols returns cfg with its protocol wrapped so that it
+// declares no extension (no table, counts or batch kernel): the engine
+// then applies per-pair Transition calls (per-agent ring calls) and
+// scans the configuration with Measure — the reference every compiled
+// component is pinned against.
+func plainProtocols(cfg Config) Config {
+	if cfg.Pair != nil {
+		cfg.Pair = struct{ PairProtocol }{cfg.Pair}
+	}
+	if cfg.Ring != nil {
+		cfg.Ring = struct{ RingProtocol }{cfg.Ring}
+	}
+	return cfg
+}
+
+// TestFastPathMatchesReference pins the compiled components: for every
+// protocol, every worker count, and a non-default shard count, the
+// default run's full trace (per-step stats, final configuration, result)
+// is bit-identical to the same run on the plain-protocol wrapper.
 func TestFastPathMatchesReference(t *testing.T) {
 	for _, tc := range fastpathCases(t) {
 		for _, workers := range []int{0, 1, 4} {
@@ -60,8 +75,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 				cfg.Workers = workers
 				cfg.Shards = shards
 
-				ref := cfg
-				ref.DisableFastPath = true
+				ref := plainProtocols(cfg)
 				ref.RNG = xrand.New(99)
 				refHash, _ := traceHash(t, ref)
 
@@ -79,17 +93,20 @@ func TestFastPathMatchesReference(t *testing.T) {
 }
 
 // TestFastPathMatchesReferenceWithInteractionObserver covers the
-// partially-engaged shape: a per-interaction observer forces the
-// reference apply loop while batched draws stay on.
+// observed shape: a per-interaction observer keeps the observed apply
+// loop, and its event stream must match the plain-protocol run's.
 func TestFastPathMatchesReferenceWithInteractionObserver(t *testing.T) {
-	run := func(disable bool) ([]popEvent, uint64) {
+	run := func(plain bool) ([]popEvent, uint64) {
 		le, err := NewLeaderElection(500)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := &recordingObserver{}
 		cfg := Config{N: 500, Pair: le, Init: InitAllLeaders, MaxSteps: 10,
-			RNG: xrand.New(5), Observer: rec, DisableFastPath: disable}
+			RNG: xrand.New(5), Observer: rec}
+		if plain {
+			cfg = plainProtocols(cfg)
+		}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -235,12 +252,16 @@ func (escapingProto) CoinBits() int           { return 0 }
 
 // TestPairStepSteadyStateAllocFree guards the 0-alloc steady state:
 // with the quota buffers preallocated at construction, super-steps
-// allocate nothing, on both paths.
+// allocate nothing, on the compiled table and on the plain-protocol
+// wrapper alike.
 func TestPairStepSteadyStateAllocFree(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		e, err := newEngine(Config{N: 5000, Pair: NewApproxMajority(),
-			Init: InitMajority(0.6), MaxSteps: 100, RNG: xrand.New(7),
-			DisableFastPath: disable})
+	for _, plain := range []bool{false, true} {
+		cfg := Config{N: 5000, Pair: NewApproxMajority(),
+			Init: InitMajority(0.6), MaxSteps: 100, RNG: xrand.New(7)}
+		if plain {
+			cfg = plainProtocols(cfg)
+		}
+		e, err := newEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +271,7 @@ func TestPairStepSteadyStateAllocFree(t *testing.T) {
 			e.pairStep(step)
 		})
 		if allocs != 0 {
-			t.Errorf("disable=%v: %v allocs per super-step, want 0", disable, allocs)
+			t.Errorf("plain=%v: %v allocs per super-step, want 0", plain, allocs)
 		}
 	}
 }

@@ -126,13 +126,6 @@ type Config struct {
 	Workers int // sched worker goroutines; 0 or 1 inline, WorkersAuto = GOMAXPROCS
 	Shards  int // shard count (fixes the trace); 0 means sched.DefaultShards
 
-	// DisableFastPath forces the reference interface-dispatch path even
-	// when the protocol is table-compilable. The fast path is bit-identical
-	// to the reference path (the fastpath tests pin this), so the switch
-	// exists for cross-validation and benchmarking, not as a correctness
-	// escape hatch — the same discipline as the phone-call engine's flag.
-	DisableFastPath bool
-
 	Observer Observer    // optional per-super-step (and per-interaction) hook
 	Halt     func() bool // optional cooperative cancellation, polled per step
 }
@@ -160,9 +153,8 @@ const DefaultSilenceWindow = 3
 // PairDraw is one pre-drawn interaction: the ordered pair and its coin
 // word. Draws are state-independent, which is what lets the drawing
 // phase run concurrently while transitions apply sequentially. The type
-// is xrand's batched draw record, so the fast path's FillPairDraws block
-// sampler, the reference scalar loop, and BatchProtocol.ApplyPairs all
-// share the same buffers.
+// is xrand's batched draw record, so the FillPairDraws block sampler and
+// BatchProtocol.ApplyPairs share the same buffers.
 type PairDraw = xrand.PairDraw
 
 // pairDraw is the engine-internal spelling of PairDraw.
@@ -189,10 +181,8 @@ type engine struct {
 
 	interactions int64
 
-	// Fast-path state; see fastpath.go for the compilation rules. fast
-	// selects the batched-draw/specialised-apply step functions; the
-	// remaining fields engage independently per protocol capability.
-	fast        bool
+	// Compiled components; see fastpath.go for the compilation rules.
+	// Each engages independently, by protocol capability.
 	table       []uint64 // compiled pair transition table (nil = interface dispatch)
 	tshift      uint32   // state index shift: entry index is ((a<<tshift)|b)<<tcoin | coin bits
 	tcoin       uint32   // coin bits folded into the table index
@@ -370,31 +360,10 @@ func (e *engine) run() Result {
 	return res
 }
 
-// pairStep runs one super-step of the pair driver: every shard draws its
-// interaction quota from its own stream (concurrently when Workers > 1),
-// then the coordinator applies all drawn transitions sequentially in
-// shard order. Because draws are state-independent, both phases produce
-// the same trace at every worker count. When the fast path is compiled
-// (fastpath.go) both phases run their batched/devirtualised twins —
-// bit-identical, so the dispatch here is invisible in every trace.
-func (e *engine) pairStep(step int) (interactions, changed int) {
-	if e.fast {
-		return e.fastPairStep(step)
-	}
-	if e.workers <= 1 {
-		for i := range e.shards {
-			e.drawPairs(&e.shards[i])
-		}
-	} else {
-		sched.Pool(e.workers, len(e.shards), func(i int) { e.drawPairs(&e.shards[i]) })
-	}
-	return e.applyPairs(step)
-}
-
-// applyPairs is the reference apply phase: one interface call per drawn
-// interaction, in shard order. The fast path reuses it verbatim when an
-// InteractionObserver is attached (the per-interaction callback dominates
-// the loop there anyway).
+// applyPairs is the observed apply phase: one interface call per drawn
+// interaction, in shard order, with a callback per interaction. pairStep
+// takes it when an InteractionObserver is attached (the callback
+// dominates the loop there anyway).
 func (e *engine) applyPairs(step int) (interactions, changed int) {
 	iobs, _ := e.cfg.Observer.(InteractionObserver)
 	proto := e.cfg.Pair
@@ -417,22 +386,6 @@ func (e *engine) applyPairs(step int) (interactions, changed int) {
 		}
 	}
 	return interactions, changed
-}
-
-// drawPairs fills a shard's pre-drawn interaction buffer: ordered pairs
-// of distinct agents, uniform over the n·(n−1) possibilities, plus one
-// coin word each — all from the shard's own stream.
-func (e *engine) drawPairs(sh *popShard) {
-	sh.pairs = sh.pairs[:0]
-	n := e.n
-	for j := sh.qlo; j < sh.qhi; j++ {
-		a := sh.stream.IntN(n)
-		b := sh.stream.IntN(n - 1)
-		if b >= a {
-			b++
-		}
-		sh.pairs = append(sh.pairs, pairDraw{A: int32(a), B: int32(b), Coin: sh.stream.Uint64()})
-	}
 }
 
 // ringStep runs one synchronous ring super-step: each shard computes the

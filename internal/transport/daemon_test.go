@@ -58,7 +58,14 @@ func TestDaemonSendReceive(t *testing.T) {
 		t.Fatal("packet not delivered")
 	}
 	// Delivered is bumped just after the mailbox insert; wait it out.
-	waitCond(t, func() bool { return d.Health().Delivered == 1 }, "delivery accounted")
+	// Written is bumped only after enc.Encode returns, which can be after
+	// the reader has already counted the frame in FramesIn and Delivered:
+	// until then a snapshot reads WireLost() = -1 and LedgerGap() = 1.
+	// Wait for the writer's count to catch up too.
+	waitCond(t, func() bool {
+		h := d.Health()
+		return h.Delivered == 1 && h.Written == h.FramesIn
+	}, "delivery and write accounted")
 	h := d.Health()
 	if h.Sends != 1 || h.Dials != 1 {
 		t.Errorf("health = sends %d dials %d, want 1/1", h.Sends, h.Dials)
@@ -84,7 +91,13 @@ func TestDaemonPersistentConnection(t *testing.T) {
 			t.Fatalf("only %d/%d packets arrived", i, msgs)
 		}
 	}
-	waitCond(t, func() bool { return d.Health().Delivered == msgs }, "all deliveries accounted")
+	// Written is bumped only after enc.Encode returns, which can be after
+	// the reader has already counted the frame in FramesIn and Delivered;
+	// wait for the writer's count to catch up as well.
+	waitCond(t, func() bool {
+		h := d.Health()
+		return h.Delivered == msgs && h.Written == h.FramesIn
+	}, "all deliveries and writes accounted")
 	h := d.Health()
 	if h.Dials != 1 {
 		t.Errorf("Dials = %d over %d sends, want 1 persistent connection", h.Dials, msgs)

@@ -27,10 +27,7 @@ import (
 // precomputed in replication order from one master seed, results are
 // folded in replication order, and the aggregates are bit-identical for
 // every ReplicationWorkers value. Replications inherit the Runner's
-// engine selection *and* its population fast-path switch — a batch run
-// under WithoutPopulationFastPath reproduces the default batch's
-// aggregates byte-for-byte (the two paths execute the same trace),
-// which is exactly how CI's fast-vs-reference delta is produced.
+// engine selection.
 type PopulationBatch struct {
 	// Scenario is the replicated run; its Seed/RNG are ignored in favour
 	// of per-replication derived streams (set Seed here or on the batch).

@@ -8,12 +8,12 @@ import (
 	"regcast"
 )
 
-// Population-engine scale benchmarks: the fast-path (compiled tables,
-// incremental occupancy, batched draws) vs reference (per-pair
-// interface dispatch, O(n) measure scan) micro-grid behind the
-// EXPERIMENTS.md speedup table. Both paths run the identical trace —
-// the two-path contract is pinned by internal/population's matrix
-// tests — so the ratio is pure wall-clock. MaxSteps is fixed (the 1M
+// Population-engine scale benchmarks: the compiled components (tables,
+// incremental occupancy, batch kernels) vs the same protocol wrapped so
+// that it declares no extension (per-pair interface dispatch, O(n)
+// measure scan) — the micro-grid behind the EXPERIMENTS.md speedup
+// table. Both run the identical trace — internal/population's matrix
+// tests pin this — so the ratio is pure wall-clock. MaxSteps is fixed (the 1M
 // runs never converge inside it), making every iteration the same
 // amount of simulated work. Run with:
 //
@@ -33,14 +33,14 @@ func benchPopSizes(b *testing.B) []int {
 	return []int{100_000, 1_000_000}
 }
 
-// benchPopulation runs one (scenario, path, workers) cell.
+// benchPopulation runs one (scenario, path, workers) cell; the "ref"
+// path runs the pair protocol behind a wrapper that hides its extensions.
 func benchPopulation(b *testing.B, sc regcast.PopulationScenario, fast bool, workers int) {
 	b.Helper()
-	opts := []regcast.RunnerOption{regcast.WithWorkers(workers)}
 	if !fast {
-		opts = append(opts, regcast.WithoutPopulationFastPath())
+		sc.Pair = struct{ regcast.PairProtocol }{sc.Pair}
 	}
-	r := regcast.NewRunner(opts...)
+	r := regcast.NewRunner(regcast.WithWorkers(workers))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i) + 1

@@ -205,30 +205,3 @@ func TestSchedulerFlag(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
-
-// TestPopFastPathFlag pins the -pop-fastpath wiring: the default Runner
-// keeps the population fast path on, and -pop-fastpath=false routes
-// WithoutPopulationFastPath into RunnerOptions.
-func TestPopFastPathFlag(t *testing.T) {
-	for _, tc := range []struct {
-		args    []string
-		disable bool
-	}{
-		{nil, false},
-		{[]string{"-pop-fastpath=true"}, false},
-		{[]string{"-pop-fastpath=false"}, true},
-	} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := AddCommonFlags(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		r := f.Runner()
-		if r.noPopFastPath != tc.disable {
-			t.Fatalf("args %v: noPopFastPath=%v, want %v", tc.args, r.noPopFastPath, tc.disable)
-		}
-	}
-}

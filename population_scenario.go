@@ -167,19 +167,18 @@ func (r Runner) RunPopulation(ctx context.Context, s PopulationScenario) (Popula
 		rng = NewRand(s.Seed)
 	}
 	res, err := population.Run(population.Config{
-		N:               s.N,
-		Pair:            s.Pair,
-		Ring:            s.Ring,
-		Init:            s.Init,
-		RNG:             rng,
-		MaxSteps:        s.MaxSteps,
-		BatchSize:       s.BatchSize,
-		SilenceWindow:   s.SilenceWindow,
-		Workers:         r.workers,
-		Shards:          r.shards,
-		DisableFastPath: r.noFastPath || r.noPopFastPath,
-		Observer:        s.Observer,
-		Halt:            haltFor(ctx),
+		N:             s.N,
+		Pair:          s.Pair,
+		Ring:          s.Ring,
+		Init:          s.Init,
+		RNG:           rng,
+		MaxSteps:      s.MaxSteps,
+		BatchSize:     s.BatchSize,
+		SilenceWindow: s.SilenceWindow,
+		Workers:       r.workers,
+		Shards:        r.shards,
+		Observer:      s.Observer,
+		Halt:          haltFor(ctx),
 	})
 	if err != nil {
 		return PopulationResult{}, err

@@ -54,15 +54,11 @@ func (e Engine) String() string {
 // the exception: its stream is unsynchronised, so never run that one
 // scenario concurrently with itself).
 type Runner struct {
-	engine     Engine
-	workers    int
-	shards     int
-	mailbox    int
-	noFastPath bool
-	// noPopFastPath disables only the population engine's fast path;
-	// noFastPath disables every engine's.
-	noPopFastPath bool
-	faults        *transport.FaultConfig
+	engine  Engine
+	workers int
+	shards  int
+	mailbox int
+	faults  *transport.FaultConfig
 }
 
 // RunnerOption customises a Runner.
@@ -85,24 +81,6 @@ func WithShards(n int) RunnerOption { return func(r *Runner) { r.shards = n } }
 // WithMailbox sets the per-node mailbox capacity of the transport engines
 // (default 1024 packets).
 func WithMailbox(n int) RunnerOption { return func(r *Runner) { r.mailbox = n } }
-
-// WithoutFastPath forces the simulation engines onto the reference
-// interface-dispatch path even on a frozen Static topology. The CSR fast
-// path is bit-identical to the reference path (golden tests pin this), so
-// the switch exists for cross-validation and benchmarking, not as a
-// correctness escape hatch.
-func WithoutFastPath() RunnerOption { return func(r *Runner) { r.noFastPath = true } }
-
-// WithoutPopulationFastPath forces population scenarios onto the
-// reference interface-dispatch path (per-pair Transition calls, O(n)
-// measure scans, no compiled tables) while leaving the phone-call
-// engines' fast path alone. Like WithoutFastPath, it exists for
-// cross-validation and benchmarking — the population fast path is
-// pinned bit-identical to the reference path, so results never depend
-// on it.
-func WithoutPopulationFastPath() RunnerOption {
-	return func(r *Runner) { r.noPopFastPath = true }
-}
 
 // NewRunner builds a Runner; with no options it runs EngineSharded with
 // one inline worker.
@@ -293,7 +271,6 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		RNG:                s.runRNG(),
 		ChannelFailureProb: s.channelFailure,
 		MessageLossProb:    s.messageLoss,
-		GeometricFaults:    s.geometricFaults,
 		DialStrategy:       s.dial,
 		AvoidRecent:        s.avoidRecent,
 		RecordRounds:       s.recordRounds,
@@ -301,7 +278,6 @@ func (r Runner) runSimulation(ctx context.Context, s Scenario) (Result, error) {
 		StopEarly:          s.stopEarly,
 		Workers:            r.workers,
 		Shards:             r.shards,
-		DisableFastPath:    r.noFastPath,
 		Observer:           s.observer(),
 		Halt:               haltFor(ctx),
 	}

@@ -29,9 +29,8 @@ type Scenario struct {
 	dial        DialStrategy
 	avoidRecent int
 
-	channelFailure  float64
-	messageLoss     float64
-	geometricFaults bool
+	channelFailure float64
+	messageLoss    float64
 
 	stopEarly    bool
 	recordRounds bool
@@ -82,17 +81,6 @@ func WithChannelFailure(p float64) ScenarioOption { return func(s *Scenario) { s
 // WithMessageLoss sets the probability that an individual transmission is
 // lost in transit (lost transmissions still count as transmissions).
 func WithMessageLoss(p float64) ScenarioOption { return func(s *Scenario) { s.messageLoss = p } }
-
-// WithGeometricFaults switches the simulation engines to the
-// randomness-efficient fault sampler: instead of one Bernoulli draw per
-// channel-failure/message-loss decision, each PRNG stream draws
-// Geometric(p) skip counters — one draw per fault event. The fault
-// processes are distribution-identical and every determinism contract
-// still holds (same seed => same trace, worker-count independence), but
-// the stream is consumed in a different order, so traces are NOT
-// comparable with the default Bernoulli mode — that is why this is an
-// explicit opt-in. Simulation engine only.
-func WithGeometricFaults() ScenarioOption { return func(s *Scenario) { s.geometricFaults = true } }
 
 // WithStopEarly stops the run as soon as every alive node is informed,
 // instead of measuring the full schedule's transmission cost.

@@ -159,8 +159,14 @@ func (s HypercubeSpec) Build(int, *Rand) (Topology, error) {
 	return phonecall.NewImplicit(h), nil
 }
 
-// NodeCount implements the SpecNodeCount query.
-func (s HypercubeSpec) NodeCount() int { return 1 << s.Dim }
+// NodeCount implements the SpecNodeCount query; a dimension whose node
+// count does not fit an int (negative, or 63 and up) declares none.
+func (s HypercubeSpec) NodeCount() int {
+	if s.Dim < 0 || s.Dim > 62 {
+		return -1
+	}
+	return 1 << s.Dim
+}
 
 // Implicit reports whether Build returns a computed-adjacency topology.
 func (s HypercubeSpec) Implicit() bool { return !s.Dense }
@@ -284,9 +290,8 @@ func (s RegularStreamSpec) Implicit() bool { return !s.Dense }
 //
 // The overlay maintains an epoch-stamped CSR view incrementally under
 // Join/Leave/Mix, so runs on it — churning or not — execute on the
-// engines' zero-interface fast path, bit-identical to the reference
-// interface path (see DESIGN.md, "Topology specs and the epoch
-// contract").
+// engine's zero-interface CSR loops (see DESIGN.md, "Topology specs and
+// the epoch contract").
 type OverlaySpec struct {
 	N, D     int
 	Headroom int

@@ -14,17 +14,20 @@ import (
 
 // overlayChurnScenario is the spec scenario the churn determinism tests
 // share: a churning OverlaySpec — dynamic topology, rebuilt fresh per
-// replication by the batch layer.
-func overlayChurnScenario(t testing.TB, seed uint64) regcast.Scenario {
+// replication by the batch layer; viewless builds it behind the bare
+// Topology interface.
+func overlayChurnScenario(t testing.TB, seed uint64, viewless bool) regcast.Scenario {
 	t.Helper()
 	const n, d = 192, 8
 	proto, err := core.NewAlgorithm1(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := regcast.NewScenarioSpec(
-		regcast.OverlaySpec{N: n, D: d, JoinProb: 0.02, LeaveProb: 0.02, MixSteps: 3},
-		proto, regcast.WithSeed(seed))
+	var spec regcast.TopologySpec = regcast.OverlaySpec{N: n, D: d, JoinProb: 0.02, LeaveProb: 0.02, MixSteps: 3}
+	if viewless {
+		spec = viewlessSpec{spec}
+	}
+	sc, err := regcast.NewScenarioSpec(spec, proto, regcast.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func TestBatchAcceptsDynamicSpec(t *testing.T) {
 			ReplicationWorkers: repWorkers,
 			Runner:             regcast.NewRunner(regcast.WithWorkers(engineWorkers)),
 			Build: func(p regcast.Point) (regcast.Batch, error) {
-				return regcast.Batch{Scenario: overlayChurnScenario(t, p.Seed), RandomizeSource: true}, nil
+				return regcast.Batch{Scenario: overlayChurnScenario(t, p.Seed, false), RandomizeSource: true}, nil
 			},
 		}
 		report, err := sweep.Run(context.Background())
@@ -80,22 +83,21 @@ func TestBatchAcceptsDynamicSpec(t *testing.T) {
 	}
 }
 
-// TestSpecScenarioFastPathBitIdentity extends the two-path contract to
-// churn at the facade level: running the OverlaySpec scenario with
-// WithoutFastPath must reproduce the exact trace of the default (CSR
-// fast path) run, on both simulation engines.
+// TestSpecScenarioFastPathBitIdentity extends the view contract to
+// churn at the facade level: the OverlaySpec scenario run behind the
+// bare Topology interface must reproduce the exact trace of the default
+// (CSR view) run, inline and on a worker pool.
 func TestSpecScenarioFastPathBitIdentity(t *testing.T) {
 	for _, workers := range []int{0, 2} {
-		run := func(opts ...regcast.RunnerOption) regcast.Result {
-			sc := overlayChurnScenario(t, 1234)
-			opts = append([]regcast.RunnerOption{regcast.WithWorkers(workers)}, opts...)
-			res, err := regcast.Run(context.Background(), sc, opts...)
+		run := func(viewless bool) regcast.Result {
+			sc := overlayChurnScenario(t, 1234, viewless)
+			res, err := regcast.Run(context.Background(), sc, regcast.WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		fast, ref := run(), run(regcast.WithoutFastPath())
+		fast, ref := run(false), run(true)
 		label := fmt.Sprintf("workers=%d", workers)
 		if fast.Rounds != ref.Rounds || fast.Transmissions != ref.Transmissions ||
 			fast.ChannelsDialed != ref.ChannelsDialed || fast.Informed != ref.Informed ||
@@ -180,7 +182,7 @@ func TestBatchNewComposesWithSpecScenario(t *testing.T) {
 // every Run from its own seed, so repeated runs are identical and the
 // scenario value stays reusable (nothing is memoised into it).
 func TestSpecScenarioRunDeterminism(t *testing.T) {
-	sc := overlayChurnScenario(t, 7)
+	sc := overlayChurnScenario(t, 7, false)
 	a, err := regcast.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -298,5 +300,42 @@ func TestSpecScenarioValidation(t *testing.T) {
 	if _, err := (regcast.Batch{Scenario: fixedDyn, Replications: 3}).Run(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "Stepper") {
 		t.Errorf("batch over FixedTopology(stepper) spec: error %v, want the shared-Stepper rejection", err)
+	}
+}
+
+// TestShippedTopologiesExposeAView pins the premise of the engine's
+// single round pass: every built-in spec builds a topology with a CSR or
+// implicit view, so no shipped topology falls back to the interface
+// adapter and its per-Step O(n) Alive scan.
+func TestShippedTopologiesExposeAView(t *testing.T) {
+	for _, s := range []string{
+		"regular:n=64,d=4",
+		"config:n=64,d=4",
+		"config:n=64,d=4,erased=true",
+		"gnp:n=64,p=0.1",
+		"hypercube:dim=6,dense=true",
+		"hypercube:dim=6",
+		"torus:rows=8,cols=8,dense=true",
+		"torus:rows=8,cols=8",
+		"gnp-stream:n=64,p=0.1,dense=true",
+		"gnp-stream:n=64,p=0.1",
+		"regular-stream:n=64,d=4,dense=true",
+		"regular-stream:n=64,d=4",
+		"overlay:n=64,d=4",
+		"overlay:n=64,d=4,join=0.05,leave=0.05,mix=2",
+	} {
+		spec, err := regcast.ParseTopologySpec(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		topo, err := spec.Build(0, regcast.NewRand(3))
+		if err != nil {
+			t.Fatalf("%s: build: %v", s, err)
+		}
+		_, csr := topo.(regcast.CSRViewer)
+		_, implicit := topo.(regcast.ImplicitViewer)
+		if !csr && !implicit {
+			t.Errorf("%s: %T exposes neither a CSR nor an implicit view", s, topo)
+		}
 	}
 }
