@@ -9,7 +9,7 @@ import (
 // TestRunAcceptsEveryScenarioKind pins the sealed AnyScenario union: the
 // single Runner.Run entry point executes both scenario kinds, by value
 // and by pointer, and a population run through it folds into the shared
-// Result shape with exactly the PopulationBatch metric mapping, while
+// Result shape with exactly the mapping Batch aggregates, while
 // Runner.RunPopulation keeps the population-specific fields (Measure).
 func TestRunAcceptsEveryScenarioKind(t *testing.T) {
 	le, err := NewLeaderElection(128)
@@ -79,6 +79,13 @@ func TestRunAcceptsEveryScenarioKind(t *testing.T) {
 
 	if _, err := Run(context.Background(), nil); err == nil {
 		t.Error("Run accepted a nil scenario")
+	}
+	var nilBroadcast *Scenario
+	var nilPopulation *PopulationScenario
+	for _, s := range []AnyScenario{nilBroadcast, nilPopulation} {
+		if _, err := Run(context.Background(), s); err == nil {
+			t.Errorf("Run accepted a nil %T", s)
+		}
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 	"regcast/internal/xrand"
 )
 
-// Batch runs R seed-derived replications of one broadcast Scenario on a
-// worker pool and aggregates their results online — the statistical layer
-// of the facade. Replication-level parallelism composes with the sharded
-// engine's per-run parallelism: Batch decides how many whole runs are in
-// flight (ReplicationWorkers), the Runner decides how many workers each
-// run uses internally.
+// Batch runs R seed-derived replications of one scenario on a worker
+// pool and aggregates their results online — the statistical layer of
+// the facade, for both schedulers. Replication-level parallelism composes
+// with each engine's per-run parallelism: Batch decides how many whole
+// runs are in flight (ReplicationWorkers), the Runner decides how many
+// workers each run uses internally.
 //
 // Determinism contract: every replication draws from a PRNG stream that is
 // precomputed in replication order from one master seed (xrand.SplitN
@@ -24,8 +24,11 @@ import (
 // are therefore bit-identical for every ReplicationWorkers value. Only
 // wall-clock time changes.
 type Batch struct {
-	// Scenario is the replicated run. Each replication executes a copy of
-	// it whose randomness is replaced by the replication's derived stream.
+	// Scenario is the replicated run: a broadcast Scenario or a
+	// PopulationScenario, by value or pointer. Each replication executes
+	// a copy of it whose randomness is replaced by the replication's
+	// derived stream, and a population replication's result is folded
+	// into the shared Result shape (see Runner.Run for the mapping).
 	// Exactly one of Scenario and New must be set.
 	//
 	// A spec scenario (NewScenarioSpec) builds a fresh topology per
@@ -35,11 +38,12 @@ type Batch struct {
 	// topology across replications, which is why a dynamic (Stepper)
 	// *instance* is rejected: churn would mutate the shared topology,
 	// leaking state between runs (and racing under a concurrent pool) —
-	// use the equivalent spec instead. Scenarios built with WithRNG or
-	// WithObserver are rejected either way: a batch re-seeds every
-	// replication, and observers are per-run state (build those through
-	// New).
-	Scenario Scenario
+	// use the equivalent spec instead. Scenarios built with WithRNG and
+	// scenarios carrying observers (WithObserver, PopulationScenario's
+	// Observer) are rejected either way: a batch re-seeds every
+	// replication, and observers are per-run state (build broadcast
+	// observers through New).
+	Scenario AnyScenario
 
 	// New, when non-nil, builds the scenario for each replication from the
 	// replication's derived stream. Since topology variation is covered
@@ -73,15 +77,15 @@ type Batch struct {
 
 	// Seed overrides the master seed the replication streams derive from.
 	// When 0, Scenario batches use the scenario's own seed (so a Batch
-	// over NewScenario(..., WithSeed(s)) is fully determined by s); New
-	// batches use 0.
+	// over NewScenario(..., WithSeed(s)) or PopulationScenario{Seed: s} is
+	// fully determined by s); New batches use 0.
 	Seed uint64
 
 	// RandomizeSource re-draws the broadcast source per replication from
 	// the replication's stream (uniform over the topology's alive nodes)
 	// instead of reusing the scenario's fixed source — the standard setup
 	// for statistical ensembles, where a fixed source would correlate
-	// every run.
+	// every run. Population scenarios have no source and reject it.
 	RandomizeSource bool
 
 	// KeepResults retains every replication's full Result (in replication
@@ -199,13 +203,17 @@ func (b Batch) seed() uint64 {
 	if b.Seed != 0 {
 		return b.Seed
 	}
-	if b.New == nil {
-		return b.Scenario.seed
+	switch sc := b.Scenario.(type) {
+	case Scenario:
+		return sc.seed
+	case PopulationScenario:
+		return sc.Seed
 	}
 	return 0
 }
 
-// validate rejects batch configurations no pool should run.
+// validate rejects batch configurations no pool should run. Scenario
+// holds a value, not a pointer (see Run).
 func (b Batch) validate() error {
 	if b.Replications <= 0 {
 		return fmt.Errorf("regcast: batch needs Replications >= 1, got %d", b.Replications)
@@ -213,25 +221,32 @@ func (b Batch) validate() error {
 	if b.ReplicationWorkers < WorkersAuto {
 		return fmt.Errorf("regcast: batch ReplicationWorkers %d invalid (use WorkersAuto, 0 or a positive count)", b.ReplicationWorkers)
 	}
-	hasScenario := b.Scenario.spec != nil || b.Scenario.proto != nil
-	if b.New == nil && !hasScenario {
+	if b.New == nil && b.Scenario == nil {
 		return fmt.Errorf("regcast: batch needs a Scenario or a New builder")
 	}
-	if b.New != nil && hasScenario {
+	if b.New != nil && b.Scenario != nil {
 		return fmt.Errorf("regcast: batch Scenario and New are mutually exclusive")
 	}
-	if b.New == nil {
-		if err := b.Scenario.validate(); err != nil {
+	switch sc := b.Scenario.(type) {
+	case Scenario:
+		if err := sc.validate(); err != nil {
 			return err
 		}
-		if b.Scenario.rng != nil {
+		if sc.rng != nil {
 			return fmt.Errorf("regcast: batch scenarios must use WithSeed, not WithRNG: replications re-derive their streams from the master seed")
 		}
-		if len(b.Scenario.observers) > 0 {
+		if len(sc.observers) > 0 {
 			return fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications); build per-replication observers from Batch.New")
 		}
-		if b.Scenario.topo != nil && b.Scenario.dynamic() {
+		if sc.topo != nil && sc.dynamic() {
 			return fmt.Errorf("regcast: batch scenarios cannot share a dynamic (Stepper) topology instance across replications (churn state would leak between runs and race under a concurrent pool); describe the topology with NewScenarioSpec — e.g. OverlaySpec — so each replication builds its own")
+		}
+	case PopulationScenario:
+		if sc.Observer != nil {
+			return fmt.Errorf("regcast: batch scenarios cannot carry observers (per-run state shared across concurrent replications)")
+		}
+		if b.RandomizeSource {
+			return fmt.Errorf("regcast: batch RandomizeSource needs a broadcast scenario: population runs have no source")
 		}
 	}
 	return nil
@@ -263,6 +278,7 @@ func drawAliveSource(rng *xrand.Rand, topo Topology) (int, error) {
 // plan precomputes every replication's randomness in replication order.
 func (b Batch) plan() ([]repPlan, error) {
 	master := xrand.New(b.seed())
+	sc, _ := b.Scenario.(Scenario)
 	plans := make([]repPlan, b.Replications)
 	for r := range plans {
 		plans[r].source = -1
@@ -270,8 +286,8 @@ func (b Batch) plan() ([]repPlan, error) {
 		// split (the classic derivation, preserved bit-for-bit); spec
 		// scenarios have no topology yet — their source is drawn from the
 		// replication stream after the per-replication build (runRep).
-		if b.New == nil && b.RandomizeSource && b.Scenario.topo != nil {
-			src, err := drawAliveSource(master, b.Scenario.topo)
+		if b.RandomizeSource && sc.topo != nil {
+			src, err := drawAliveSource(master, sc.topo)
 			if err != nil {
 				return nil, err
 			}
@@ -282,69 +298,62 @@ func (b Batch) plan() ([]repPlan, error) {
 	return plans, nil
 }
 
-// runRep executes one replication.
+// runRep builds replication rep's scenario on its derived stream and
+// runs it.
 func (b Batch) runRep(ctx context.Context, rep int, p repPlan) (Result, error) {
 	var sc Scenario
-	switch {
-	case b.New != nil:
-		var err error
-		sc, err = b.New(rep, p.rng)
+	buildRNG := p.rng
+	switch bs := b.Scenario.(type) {
+	case PopulationScenario:
+		pres, err := b.Runner.runPopulation(ctx, bs, p.rng)
 		if err != nil {
-			return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+			return Result{}, err
+		}
+		return populationResult(b.Runner.engine, bs.N, pres), nil
+	case Scenario:
+		sc = bs
+		if sc.topo != nil { // instance: run on the replication stream
+			sc.rng = p.rng
+			if p.source >= 0 {
+				sc.source = p.source
+			}
+		}
+	case nil: // New batch
+		var err error
+		if sc, err = b.New(rep, p.rng); err != nil {
+			return Result{}, err
 		}
 		if sc.spec == nil && sc.topo == nil {
-			return Result{}, fmt.Errorf("regcast: batch replication %d: New returned a scenario without a topology", rep)
+			return Result{}, fmt.Errorf("New returned a scenario without a topology")
 		}
-		if sc.topo == nil {
-			// New returned a spec scenario (the composition for
-			// per-replication observers on a dynamic topology). Build it on
-			// a builder-chosen WithRNG stream or an explicit WithSeed seed
-			// when given; otherwise on the replication stream — the default
-			// a builder that just forwards the scenario expects.
-			buildRNG := sc.rng
-			if buildRNG == nil && sc.seedSet {
-				buildRNG = NewRand(sc.seed)
-			}
-			if buildRNG == nil {
-				buildRNG = p.rng
-			}
-			sc, err = sc.materialize(rep, buildRNG)
-			if err != nil {
-				return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
-			}
-		}
-	case b.Scenario.topo == nil:
-		// Spec scenario: build this replication's topology from the
-		// replication stream (materialize carries the stream forward for
-		// the run itself).
-		var err error
-		sc, err = b.Scenario.materialize(rep, p.rng)
-		if err != nil {
-			return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+		// A spec scenario from New builds on its WithRNG stream or
+		// WithSeed seed when given, else on the replication stream.
+		if sc.rng != nil {
+			buildRNG = sc.rng
+		} else if sc.seedSet {
+			buildRNG = NewRand(sc.seed)
 		}
 	default:
-		sc = b.Scenario
-		sc.rng = p.rng
-		if p.source >= 0 {
-			sc.source = p.source
-		}
+		return b.Runner.Run(ctx, bs)
+	}
+	// A spec scenario builds this replication's topology now, on the
+	// stream its run continues on; an instance passes through.
+	sc, err := sc.materialize(rep, buildRNG)
+	if err != nil {
+		return Result{}, err
 	}
 	// For per-replication-built scenarios (New or spec), the randomized
 	// source is drawn from the replication stream after the build, over
 	// the topology that actually exists this replication; instance
 	// scenarios received their master-drawn source through the plan.
-	if b.RandomizeSource && (b.New != nil || b.Scenario.topo == nil) {
+	if b.RandomizeSource && p.source < 0 {
 		src, err := drawAliveSource(p.rng, sc.topo)
 		if err != nil {
-			return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
+			return Result{}, err
 		}
 		sc.source = src
 	}
-	res, err := b.Runner.Run(ctx, sc)
-	if err != nil {
-		return Result{}, fmt.Errorf("regcast: batch replication %d: %w", rep, err)
-	}
-	return res, nil
+	return b.Runner.Run(ctx, sc)
 }
 
 // repOutcome is the fixed-size extract of one replication a batch
@@ -364,6 +373,12 @@ type repOutcome struct {
 // and returns ctx.Err(). On success, the returned aggregates are
 // bit-identical for every ReplicationWorkers value.
 func (b Batch) Run(ctx context.Context) (BatchResult, error) {
+	switch sc := b.Scenario.(type) {
+	case *Scenario:
+		b.Scenario = deref(sc)
+	case *PopulationScenario:
+		b.Scenario = deref(sc)
+	}
 	if err := b.validate(); err != nil {
 		return BatchResult{}, err
 	}
@@ -379,7 +394,7 @@ func (b Batch) Run(ctx context.Context) (BatchResult, error) {
 	err = runPool(ctx, b.Replications, b.ReplicationWorkers, func(rep int) error {
 		res, err := b.runRep(ctx, rep, plans[rep])
 		if err != nil {
-			return err
+			return fmt.Errorf("regcast: batch replication %d: %w", rep, err)
 		}
 		outcomes[rep] = repOutcome{
 			transmissions: res.Transmissions,

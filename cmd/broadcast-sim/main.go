@@ -84,9 +84,7 @@ func run() error {
 		return fmt.Errorf("-daemon/-chaos need the dense -n/-d graph (transport engines require a Static topology)")
 	}
 	if spec != nil {
-		if nn := regcast.SpecNodeCount(spec); nn > 0 {
-			*n = nn // protocol horizons are functions of n
-		}
+		*n = regcast.SpecNodeCount(spec) // protocol horizons are functions of n
 	}
 	var g *regcast.Graph
 	var err error

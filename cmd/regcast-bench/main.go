@@ -76,7 +76,8 @@ func protoAxis(names ...string) regcast.Axis {
 // buildCell is the shared Build function of every grid: it reads the
 // point's n / degree / protocol / fault / topology / churn axes (absent
 // axes fall back to the given defaults) and returns a source-randomised
-// batch over the scenario.
+// batch over the scenario. A "workload" axis makes the cell a population
+// batch instead (buildPopulationCell).
 //
 // Without a topology-shaped axis the cell generates one random regular
 // graph from the point seed and replicates on it — the classic derivation,
@@ -92,6 +93,8 @@ func buildCell(p regcast.Point, defaults cellDefaults) (regcast.Batch, error) {
 	churn := -1.0
 	for _, prm := range p.Params() {
 		switch prm.Axis {
+		case "workload":
+			return buildPopulationCell(p)
 		case "n":
 			n = p.Value("n").(int)
 		case "d":
@@ -114,9 +117,7 @@ func buildCell(p regcast.Point, defaults cellDefaults) (regcast.Batch, error) {
 		// the protocol horizons.
 		spec = defaults.spec
 		if spec != nil {
-			if nn := regcast.SpecNodeCount(spec); nn > 0 {
-				n = nn
-			}
+			n = regcast.SpecNodeCount(spec)
 		}
 	}
 	rng := regcast.NewRand(p.Seed)
@@ -158,47 +159,23 @@ type cellDefaults struct {
 	spec regcast.TopologySpec
 }
 
-// popWorkload is one value of the populations grid's workload axis: a
-// population protocol at a concrete size (leader election on an n-clique,
-// Herman's ring with k initial tokens, or approximate majority from an
-// initial X-fraction).
-type popWorkload struct {
-	kind   string // "leader" | "herman" | "majority"
-	n      int
-	tokens int     // herman only: initial equally-spaced tokens
-	frac   float64 // majority only: initial X-fraction
-}
+// popWorkload is one value of the populations grid's workload axis: it
+// builds a population protocol at a concrete size (leader election on an
+// n-clique, Herman's ring with k initial tokens, or approximate majority
+// from an initial X-fraction) as an unseeded scenario.
+type popWorkload func() (regcast.PopulationScenario, error)
 
-// buildPopulationCell is the populations grid's BuildPopulation: it
-// realises the cell's workload as a PopulationBatch whose convergence
-// metrics fold into the standard regcast.bench/v1 cells (rounds = mean
-// convergence super-step, transmissions = interactions to convergence).
-func buildPopulationCell(p regcast.Point) (regcast.PopulationBatch, error) {
-	w := p.Value("workload").(popWorkload)
-	sc := regcast.PopulationScenario{N: w.n, Seed: p.Seed}
-	switch w.kind {
-	case "leader":
-		le, err := regcast.NewLeaderElection(w.n)
-		if err != nil {
-			return regcast.PopulationBatch{}, err
-		}
-		sc.Pair, sc.Init = le, regcast.InitAllLeaders
-	case "herman":
-		hm, err := regcast.NewHermanRing(w.n)
-		if err != nil {
-			return regcast.PopulationBatch{}, err
-		}
-		init, err := regcast.HermanInitTokens(w.n, w.tokens)
-		if err != nil {
-			return regcast.PopulationBatch{}, err
-		}
-		sc.Ring, sc.Init = hm, init
-	case "majority":
-		sc.Pair, sc.Init = regcast.NewApproxMajority(), regcast.InitMajority(w.frac)
-	default:
-		return regcast.PopulationBatch{}, fmt.Errorf("unknown population workload %q", w.kind)
+// buildPopulationCell realises a populations-grid cell's workload as a
+// batch over its PopulationScenario, whose convergence metrics fold into
+// the standard regcast.bench/v1 cells (rounds = mean convergence
+// super-step, transmissions = interactions to convergence).
+func buildPopulationCell(p regcast.Point) (regcast.Batch, error) {
+	sc, err := p.Value("workload").(popWorkload)()
+	if err != nil {
+		return regcast.Batch{}, err
 	}
-	return regcast.PopulationBatch{Scenario: sc}, nil
+	sc.Seed = p.Seed
+	return regcast.Batch{Scenario: sc}, nil
 }
 
 // populationAxis builds the populations grid's workload axis: a
@@ -207,17 +184,27 @@ func buildPopulationCell(p regcast.Point) (regcast.PopulationBatch, error) {
 // workload).
 func populationAxis(leaderNs []int, hermanN int, tokens []int, majorityN int, fracs []float64) regcast.Axis {
 	ax := regcast.Axis{Name: "workload"}
+	add := func(label string, w popWorkload) { ax.Values = append(ax.Values, regcast.Val(label, w)) }
 	for _, n := range leaderNs {
-		ax.Values = append(ax.Values, regcast.Val(fmt.Sprintf("leader-n%d", n),
-			popWorkload{kind: "leader", n: n}))
+		add(fmt.Sprintf("leader-n%d", n), func() (regcast.PopulationScenario, error) {
+			le, err := regcast.NewLeaderElection(n)
+			return regcast.PopulationScenario{N: n, Pair: le, Init: regcast.InitAllLeaders}, err
+		})
 	}
 	for _, k := range tokens {
-		ax.Values = append(ax.Values, regcast.Val(fmt.Sprintf("herman-n%d-k%d", hermanN, k),
-			popWorkload{kind: "herman", n: hermanN, tokens: k}))
+		add(fmt.Sprintf("herman-n%d-k%d", hermanN, k), func() (regcast.PopulationScenario, error) {
+			hm, err := regcast.NewHermanRing(hermanN)
+			if err != nil {
+				return regcast.PopulationScenario{}, err
+			}
+			init, err := regcast.HermanInitTokens(hermanN, k)
+			return regcast.PopulationScenario{N: hermanN, Ring: hm, Init: init}, err
+		})
 	}
 	for _, f := range fracs {
-		ax.Values = append(ax.Values, regcast.Val(fmt.Sprintf("majority-n%d-x%d", majorityN, int(f*100)),
-			popWorkload{kind: "majority", n: majorityN, frac: f}))
+		add(fmt.Sprintf("majority-n%d-x%d", majorityN, int(f*100)), func() (regcast.PopulationScenario, error) {
+			return regcast.PopulationScenario{N: majorityN, Pair: regcast.NewApproxMajority(), Init: regcast.InitMajority(f)}, nil
+		})
 	}
 	return ax
 }
@@ -228,7 +215,6 @@ type grid struct {
 	reps  int // default replication count
 	axes  []regcast.Axis
 	def   cellDefaults
-	pop   bool // population grid: cells build PopulationBatches
 }
 
 // grids are the named presets. "ci" is deliberately small: it is the
@@ -326,28 +312,22 @@ var grids = map[string]grid{
 			[]int{1 << 8, 1 << 9, 1 << 10, 1 << 11},
 			101, []int{3, 5, 9, 17},
 			1<<11, []float64{0.51, 0.55, 0.75})},
-		pop: true,
 	},
 }
 
 // newSweep assembles the Sweep a named grid describes — factored out of
 // run() so tests can execute grids directly with chosen pool widths.
 func newSweep(name string, g grid, seed uint64, replications, repWorkers int, runner regcast.Runner, timing bool) regcast.Sweep {
-	sweep := regcast.Sweep{
+	return regcast.Sweep{
 		Name:               name,
 		Seed:               seed,
 		Axes:               g.axes,
+		Build:              func(p regcast.Point) (regcast.Batch, error) { return buildCell(p, g.def) },
 		Replications:       replications,
 		ReplicationWorkers: repWorkers,
 		Runner:             runner,
 		Timing:             timing,
 	}
-	if g.pop {
-		sweep.BuildPopulation = buildPopulationCell
-	} else {
-		sweep.Build = func(p regcast.Point) (regcast.Batch, error) { return buildCell(p, g.def) }
-	}
-	return sweep
 }
 
 func gridNames() string {

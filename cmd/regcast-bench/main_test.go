@@ -16,7 +16,6 @@ func TestPopulationsGridDeterministicAcrossRepWorkers(t *testing.T) {
 	g := grid{
 		reps: 3,
 		axes: []regcast.Axis{populationAxis([]int{128, 256}, 51, []int{3, 5}, 256, []float64{0.6})},
-		pop:  true,
 	}
 	var want []byte
 	for i, workers := range []int{0, 1, 4} {
@@ -43,6 +42,42 @@ func TestPopulationsGridDeterministicAcrossRepWorkers(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("rep-workers=%d report differs from rep-workers=0:\n%s\nvs\n%s", workers, buf.Bytes(), want)
+		}
+	}
+}
+
+// TestPopulationsGridGolden pins a shrunk populations grid's folded
+// means and completion counts, so a drift in how population replications
+// are seeded, run or folded fails here rather than in the bench output.
+func TestPopulationsGridGolden(t *testing.T) {
+	g := grid{
+		reps: 3,
+		axes: []regcast.Axis{populationAxis([]int{128, 256}, 51, []int{3, 5}, 256, []float64{0.6})},
+	}
+	want := []struct {
+		label     string
+		rounds    float64
+		tx        float64
+		completed int
+	}{
+		{"workload=leader-n128", 4.666666666666667, 597.3333333333334, 3},
+		{"workload=leader-n256", 4.333333333333333, 1109.3333333333333, 3},
+		{"workload=herman-n51-k3", 321, 16371, 3},
+		{"workload=herman-n51-k5", 294, 14994, 3},
+		{"workload=majority-n256-x60", 12.666666666666666, 3242.6666666666665, 3},
+	}
+	report, err := newSweep("populations-golden", g, 7, g.reps, 0, regcast.NewRunner(), false).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Cells) != len(want) {
+		t.Fatalf("%d cells, want %d", len(report.Cells), len(want))
+	}
+	for i, w := range want {
+		c := report.Cells[i]
+		if c.Label != w.label || c.Rounds.Mean != w.rounds || c.Transmissions.Mean != w.tx || c.Completed != w.completed {
+			t.Errorf("cell %d: got %s rounds=%v tx=%v completed=%d, want %s rounds=%v tx=%v completed=%d",
+				i, c.Label, c.Rounds.Mean, c.Transmissions.Mean, c.Completed, w.label, w.rounds, w.tx, w.completed)
 		}
 	}
 }

@@ -53,9 +53,10 @@
 // at a time (internal/population): describe an ensemble of agents as a
 // PopulationScenario (a PairProtocol such as NewLeaderElection, or a
 // RingProtocol such as NewHermanRing) and execute it with
-// Runner.RunPopulation; PopulationBatch folds convergence ensembles into the
-// same BatchResult the broadcast batches produce, so Sweep (via
-// BuildPopulation) and cmd/regcast-bench grid them unchanged. Both
+// Runner.RunPopulation. Batch replicates either scenario kind (its
+// Scenario field is an AnyScenario) and folds population runs through the
+// Result mapping documented on Runner.Run, so Sweep and
+// cmd/regcast-bench grid convergence ensembles unchanged. Both
 // scheduler families run on the shared deterministic sharded
 // super-step contract (internal/sched) — fixed shard count, per-shard
 // split PRNG streams, shard-order merge — so traces are bit-identical

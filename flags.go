@@ -63,6 +63,10 @@ func (f *CommonFlags) Validate() error {
 		if err != nil {
 			return fmt.Errorf("-topology: %w", err)
 		}
+		if SpecNodeCount(spec) < 1 { // Build fails fast on the same size check
+			_, err := spec.Build(0, f.Rand())
+			return fmt.Errorf("-topology: %w", err)
+		}
 		f.spec = spec
 	}
 	return nil

@@ -7,8 +7,10 @@ import (
 )
 
 // FuzzParseTopologySpec feeds arbitrary text to the -topology spec
-// parser. Parsing, the SpecNodeCount query and — for specs small enough
-// to build quickly — Build must return errors, never panic.
+// parser. Parsing, the SpecNodeCount query and Build must return errors,
+// never panic; a spec that declares no node count must fail to Build,
+// and one small enough to build quickly must build exactly the node
+// count it declared.
 func FuzzParseTopologySpec(f *testing.F) {
 	f.Add("regular:n=64,d=4")
 	f.Add("hypercube:dim=6,dense=true")
@@ -20,8 +22,18 @@ func FuzzParseTopologySpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := regcast.SpecNodeCount(spec); n >= 1 && n <= 4096 {
-			_, _ = spec.Build(0, regcast.NewRand(1)) // an error is an accepted outcome
+		n := regcast.SpecNodeCount(spec)
+		if n < 1 {
+			if _, err := spec.Build(0, regcast.NewRand(1)); err == nil {
+				t.Fatalf("%q: SpecNodeCount %d but Build succeeded", input, n)
+			}
+			return
+		}
+		if n <= 4096 {
+			topo, err := spec.Build(0, regcast.NewRand(1))
+			if err == nil && topo.NumNodes() != n {
+				t.Fatalf("%q: built %d nodes, SpecNodeCount declared %d", input, topo.NumNodes(), n)
+			}
 		}
 	})
 }

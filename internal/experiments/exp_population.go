@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"regcast"
+	"regcast/internal/stats"
 	"regcast/internal/table"
 )
 
@@ -67,8 +68,14 @@ func popReps(o Options) int {
 	return 32
 }
 
+// popBatch replicates a population scenario with the experiments' batch
+// settings.
+func popBatch(o Options, sc regcast.PopulationScenario, seed uint64) (regcast.BatchResult, error) {
+	return regcast.Batch{Scenario: sc, Replications: popReps(o), ReplicationWorkers: o.ReplicationWorkers,
+		Runner: o.runner(), Seed: seed}.Run(context.Background())
+}
+
 func runE21(o Options) ([]*table.Table, error) {
-	reps := popReps(o)
 	tb := table.New("E21: leader election, interactions to convergence",
 		"n", "start", "super-steps (mean)", "interactions (mean)", "inter/(n·ln n)", "converged")
 	starts := []struct {
@@ -85,13 +92,7 @@ func runE21(o Options) ([]*table.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := regcast.PopulationBatch{
-				Scenario:           regcast.PopulationScenario{N: n, Pair: le, Init: start.init},
-				Replications:       reps,
-				ReplicationWorkers: o.ReplicationWorkers,
-				Runner:             o.runner(),
-				Seed:               master.Uint64(),
-			}.Run(context.Background())
+			res, err := popBatch(o, regcast.PopulationScenario{N: n, Pair: le, Init: start.init}, master.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -113,30 +114,47 @@ func runE24(o Options) ([]*table.Table, error) {
 		"n", "X-fraction", "super-steps (mean)", "interactions (mean)", "inter/(n·ln n)",
 		"consensus", "picked majority")
 	master := regcast.NewRand(o.Seed)
+	runner := o.runner()
 	for _, n := range popSizes(o) {
 		for _, frac := range []float64{0.51, 0.55, 0.75} {
-			res, kept, err := regcast.PopulationBatch{
-				Scenario: regcast.PopulationScenario{
-					N: n, Pair: regcast.NewApproxMajority(), Init: regcast.InitMajority(frac),
-				},
-				Replications:       reps,
-				ReplicationWorkers: o.ReplicationWorkers,
-				Runner:             o.runner(),
-				Seed:               master.Uint64(),
-				KeepResults:        true,
-			}.RunKeeping(context.Background())
+			// "picked majority" needs each run's final states, so E24
+			// replicates RunPopulation itself: Seed s runs on NewRand(s),
+			// the stream Batch's master.Split() derives, folded as Batch
+			// folds (replication order).
+			cell := regcast.NewRand(master.Uint64())
+			seeds := make([]uint64, reps)
+			for i := range seeds {
+				seeds[i] = cell.Uint64()
+			}
+			sc := regcast.PopulationScenario{N: n, Pair: regcast.NewApproxMajority(), Init: regcast.InitMajority(frac)}
+			kept := make([]regcast.PopulationResult, reps)
+			err := regcast.Replicate(context.Background(), 0, reps, o.ReplicationWorkers, func(rep int, _ *regcast.Rand) error {
+				run := sc
+				run.Seed = seeds[rep]
+				var err error
+				kept[rep], err = runner.RunPopulation(context.Background(), run)
+				return err
+			})
 			if err != nil {
 				return nil, err
 			}
-			picked := 0
+			var steps, inter stats.Accumulator
+			converged, picked := 0, 0
 			for _, r := range kept {
-				if r.Converged && len(r.Final) > 0 && r.Final[0] == regcast.MajorityX {
-					picked++
+				x := r.Interactions
+				if r.Converged {
+					converged++
+					steps.Add(float64(r.ConvergedAt))
+					x = r.ConvergedInteractions
+					if len(r.Final) > 0 && r.Final[0] == regcast.MajorityX {
+						picked++
+					}
 				}
+				inter.Add(float64(x))
 			}
 			nlogn := float64(n) * math.Log(float64(n))
-			tb.AddRow(n, f2(frac), f1(res.Rounds.Mean), f1(res.Transmissions.Mean),
-				f2(res.Transmissions.Mean/nlogn), pct(res.CompletedFrac()),
+			tb.AddRow(n, f2(frac), f1(steps.Mean()), f1(inter.Mean()),
+				f2(inter.Mean()/nlogn), pct(float64(converged)/float64(reps)),
 				pct(float64(picked)/float64(reps)))
 		}
 	}
@@ -148,7 +166,6 @@ func runE24(o Options) ([]*table.Table, error) {
 }
 
 func runE22(o Options) ([]*table.Table, error) {
-	reps := popReps(o)
 	n := 101
 	if o.Quick {
 		n = 51
@@ -166,13 +183,7 @@ func runE22(o Options) ([]*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := regcast.PopulationBatch{
-			Scenario:           regcast.PopulationScenario{N: n, Ring: hm, Init: init},
-			Replications:       reps,
-			ReplicationWorkers: o.ReplicationWorkers,
-			Runner:             o.runner(),
-			Seed:               master.Uint64(),
-		}.Run(context.Background())
+		res, err := popBatch(o, regcast.PopulationScenario{N: n, Ring: hm, Init: init}, master.Uint64())
 		if err != nil {
 			return nil, err
 		}

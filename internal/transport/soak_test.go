@@ -171,6 +171,7 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak in -short mode")
 	}
+	const crashUntil = 4
 	g := gossipGraph(t, 8, 4)
 	d, err := NewDaemon(DaemonConfig{
 		Nodes: 8, Mailbox: 4096, Seed: 5,
@@ -184,7 +185,7 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	// node 2 exist before the crash severs them.
 	plan, err := NewFaultPlan(d, FaultConfig{
 		Seed:    95,
-		Crashes: []CrashWindow{{Node: 2, From: 2, Until: 4}},
+		Crashes: []CrashWindow{{Node: 2, From: 2, Until: crashUntil}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +198,24 @@ func TestChaosSoakCrashExercisesRedial(t *testing.T) {
 	if err := c.Insert(0, Rumor{ID: "redial-rumor"}); err != nil {
 		t.Fatal(err)
 	}
-	for tick := 1; tick <= 40 && c.CountKnowing("redial-rumor") < 8; tick++ {
+	// Tick through epoch Until+2 even once the rumour has spread: node 2
+	// may learn it through its own fresh outbound dial, and then only a
+	// later send to node 2 redials. Each tick waits (bounded) until a
+	// redial has happened or its frames have settled — every packet
+	// accounted and written == decoded — instead of sleeping a fixed
+	// interval.
+	for tick := 1; tick <= 40 && (tick <= crashUntil+2 || c.CountKnowing("redial-rumor") < 8); tick++ {
 		plan.AdvanceEpoch()
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		deadline := time.Now().Add(stepWait(t, time.Second))
+		for time.Now().Before(deadline) {
+			if h := plan.Health(); h.Redials > 0 || h.LedgerGap() == 0 && h.Written == h.FramesIn {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	if know := c.CountKnowing("redial-rumor"); know != 8 {
 		t.Fatalf("rumour reached %d/8 nodes despite crash-restart", know)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -36,15 +37,15 @@ func TestRunPopulationWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestPopulationBatchReplicationWorkerIndependent pins the batch-level
-// guarantee: the JSON-serialised aggregate is byte-identical for every
-// ReplicationWorkers value.
-func TestPopulationBatchReplicationWorkerIndependent(t *testing.T) {
+// TestBatchPopulationReplicationWorkerIndependent pins the batch-level
+// guarantee for population scenarios: the JSON-serialised aggregate is
+// byte-identical for every ReplicationWorkers value.
+func TestBatchPopulationReplicationWorkerIndependent(t *testing.T) {
 	le, err := NewLeaderElection(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := PopulationBatch{
+	base := Batch{
 		Scenario:     PopulationScenario{N: 120, Pair: le, Init: InitLeaderless, Seed: 4},
 		Replications: 8,
 	}
@@ -73,26 +74,35 @@ func TestPopulationBatchReplicationWorkerIndependent(t *testing.T) {
 	}
 }
 
-func TestPopulationBatchMetricMapping(t *testing.T) {
+// TestBatchPopulationMetricMapping checks that a population batch runs
+// replication r on the r-th stream split from the master seed and folds
+// each run through Runner.Run's population mapping.
+func TestBatchPopulationMetricMapping(t *testing.T) {
 	le, err := NewLeaderElection(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := PopulationBatch{
-		Scenario:     PopulationScenario{N: 100, Pair: le, Init: InitAllLeaders, Seed: 2},
-		Replications: 6,
-		KeepResults:  true,
-	}
-	res, kept, err := b.RunKeeping(context.Background())
+	sc := PopulationScenario{N: 100, Pair: le, Init: InitAllLeaders, Seed: 2}
+	res, err := Batch{Scenario: sc, Replications: 6, KeepResults: true}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kept) != 6 {
-		t.Fatalf("kept %d results, want 6", len(kept))
+	if len(res.Results) != 6 {
+		t.Fatalf("kept %d results, want 6", len(res.Results))
 	}
+	master := NewRand(2) // Split() is New(Uint64()): replication r runs on Seed = r-th draw
 	conv := 0
-	for _, r := range kept {
-		if r.Converged {
+	for rep, r := range res.Results {
+		run := sc
+		run.Seed = master.Uint64()
+		pres, err := NewRunner().RunPopulation(context.Background(), run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := populationResult(EngineSharded, sc.N, pres); !reflect.DeepEqual(r, want) {
+			t.Fatalf("replication %d: got %+v, want %+v", rep, r, want)
+		}
+		if r.AllInformed {
 			conv++
 		}
 	}
@@ -107,17 +117,49 @@ func TestPopulationBatchMetricMapping(t *testing.T) {
 	}
 }
 
-func TestPopulationBatchValidation(t *testing.T) {
+func TestBatchPopulationValidation(t *testing.T) {
 	le, _ := NewLeaderElection(16)
 	sc := PopulationScenario{N: 16, Pair: le, Seed: 1}
-	for name, b := range map[string]PopulationBatch{
-		"no-reps":  {Scenario: sc},
-		"observer": {Scenario: PopulationScenario{N: 16, Pair: le, Observer: observerStub{}}, Replications: 1},
-		"rng":      {Scenario: PopulationScenario{N: 16, Pair: le, RNG: NewRand(1)}, Replications: 1},
+	var nilScenario *PopulationScenario
+	for _, c := range []struct {
+		name string
+		b    Batch
+		want string
+	}{
+		{"no-reps", Batch{Scenario: sc}, "Replications"},
+		{"observer", Batch{Scenario: PopulationScenario{N: 16, Pair: le, Observer: observerStub{}}, Replications: 1}, "observers"},
+		{"randomize-source", Batch{Scenario: sc, Replications: 1, RandomizeSource: true}, "no source"},
+		{"nil-scenario", Batch{Replications: 1}, "Scenario or a New"},
+		{"nil-pointer", Batch{Scenario: nilScenario, Replications: 1}, "Scenario or a New"},
+		{"scenario-and-new", Batch{Scenario: &sc, New: func(int, *Rand) (Scenario, error) { return Scenario{}, nil }, Replications: 1}, "mutually exclusive"},
 	} {
-		if _, err := b.Run(context.Background()); err == nil {
-			t.Errorf("%s: Run accepted an invalid batch", name)
+		if _, err := c.b.Run(context.Background()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want mention of %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestBatchAcceptsPopulationScenarioPointer: a *PopulationScenario
+// replicates exactly like the value it points to.
+func TestBatchAcceptsPopulationScenarioPointer(t *testing.T) {
+	le, err := NewLeaderElection(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := PopulationScenario{N: 64, Pair: le, Init: InitAllLeaders, Seed: 3}
+	byVal, err := Batch{Scenario: sc, Replications: 3}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPtr, err := Batch{Scenario: &sc, Replications: 3}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(byVal, byPtr) {
+		t.Fatalf("pointer batch differs:\n got %+v\nwant %+v", byPtr, byVal)
+	}
+	if byVal.Completed == 0 {
+		t.Fatal("no replication converged")
 	}
 }
 
@@ -125,20 +167,21 @@ type observerStub struct{}
 
 func (observerStub) OnSuperStep(SuperStepStats) {}
 
-// TestSweepBuildPopulation runs a tiny population sweep end-to-end and
-// checks the report carries the population cells in the standard schema.
-func TestSweepBuildPopulation(t *testing.T) {
+// TestSweepPopulationCells runs a tiny sweep whose Build returns
+// population batches and checks the report carries the population cells
+// in the standard schema.
+func TestSweepPopulationCells(t *testing.T) {
 	sw := Sweep{
 		Name: "population-test",
 		Seed: 5,
 		Axes: []Axis{Vals("n", 60, 120)},
-		BuildPopulation: func(p Point) (PopulationBatch, error) {
+		Build: func(p Point) (Batch, error) {
 			n := p.Value("n").(int)
 			le, err := NewLeaderElection(n)
 			if err != nil {
-				return PopulationBatch{}, err
+				return Batch{}, err
 			}
-			return PopulationBatch{
+			return Batch{
 				Scenario: PopulationScenario{N: n, Pair: le, Init: InitAllLeaders, Seed: p.Seed},
 			}, nil
 		},
@@ -163,14 +206,8 @@ func TestSweepBuildPopulation(t *testing.T) {
 		}
 	}
 
-	// Exactly one of Build and BuildPopulation must be set.
-	if _, err := (Sweep{Name: "neither", Axes: sw.Axes}).Run(context.Background()); err == nil {
+	if _, err := (Sweep{Name: "no-build", Axes: sw.Axes}).Run(context.Background()); err == nil {
 		t.Error("Sweep.Run accepted a sweep with no build function")
-	}
-	both := sw
-	both.Build = func(p Point) (Batch, error) { return Batch{}, nil }
-	if _, err := both.Run(context.Background()); err == nil {
-		t.Error("Sweep.Run accepted a sweep with both build functions")
 	}
 }
 

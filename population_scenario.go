@@ -130,12 +130,9 @@ type PopulationScenario struct {
 	// Init maps an agent index to its initial state (nil = zero states);
 	// coin is a fresh word from the run's init stream.
 	Init func(i, n int, coin uint64) PopulationState
-	// Seed is the run's master seed.
+	// Seed is the run's master seed (a Batch replaces it with each
+	// replication's derived stream).
 	Seed uint64
-	// RNG, when non-nil, overrides Seed with an explicit master stream —
-	// the hook PopulationBatch uses to inject per-replication streams.
-	// Runs sharing an RNG value are not independent; prefer Seed.
-	RNG *Rand
 	// MaxSteps, BatchSize and SilenceWindow bound the run; zero selects
 	// the defaults documented on population.Config.
 	MaxSteps      int
@@ -159,12 +156,14 @@ func (PopulationScenario) anyScenario() {}
 // run at the next super-step boundary and returns ctx.Err() alongside
 // the partial result.
 func (r Runner) RunPopulation(ctx context.Context, s PopulationScenario) (PopulationResult, error) {
+	return r.runPopulation(ctx, s, NewRand(s.Seed))
+}
+
+// runPopulation executes s on the master stream rng in place of its Seed
+// (a Batch replication's derived stream).
+func (r Runner) runPopulation(ctx context.Context, s PopulationScenario, rng *Rand) (PopulationResult, error) {
 	if r.engine != EngineSharded {
 		return PopulationResult{}, fmt.Errorf("regcast: the %v engine cannot run population scenarios (use EngineSharded)", r.engine)
-	}
-	rng := s.RNG
-	if rng == nil {
-		rng = NewRand(s.Seed)
 	}
 	res, err := population.Run(population.Config{
 		N:             s.N,

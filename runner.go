@@ -148,21 +148,23 @@ func Run(ctx context.Context, s AnyScenario, opts ...RunnerOption) (Result, erro
 // result accumulated so far.
 //
 // A PopulationScenario's PopulationResult is folded into the shared
-// Result shape with the same fixed mapping PopulationBatch uses: Rounds
+// Result shape with one fixed mapping, the one Batch aggregates: Rounds
 // is the super-steps executed, ChannelsDialed the total interactions
-// (the work analogue of the dial budget), AllInformed the converged
-// flag; on convergence Informed is N, FirstAllInformed the convergence
-// super-step and Transmissions the interactions to convergence,
-// otherwise Informed is 0, FirstAllInformed -1 and Transmissions the
-// total (budget-censored) interactions. Programs that need the
-// population-specific fields (Measure, final states) use
-// Runner.RunPopulation.
+// (the work analogue of the dial budget), AliveNodes is N and
+// AllInformed the converged flag; on convergence Informed is N,
+// FirstAllInformed the convergence super-step and Transmissions the
+// interactions to convergence, otherwise Informed is 0,
+// FirstAllInformed -1 and Transmissions the total (budget-censored)
+// interactions. In a BatchResult, Completed thus counts converged runs,
+// Rounds aggregates their convergence super-steps and InformedFrac's
+// mean is the convergence rate. Programs that need the population-
+// specific fields (Measure, final states) use Runner.RunPopulation.
 func (r Runner) Run(ctx context.Context, s AnyScenario) (Result, error) {
 	switch sc := s.(type) {
 	case Scenario:
 		return r.runScenario(ctx, sc)
 	case *Scenario:
-		return r.runScenario(ctx, *sc)
+		return r.Run(ctx, deref(sc))
 	case PopulationScenario:
 		pres, err := r.RunPopulation(ctx, sc)
 		if err != nil {
@@ -170,17 +172,21 @@ func (r Runner) Run(ctx context.Context, s AnyScenario) (Result, error) {
 		}
 		return populationResult(r.engine, sc.N, pres), nil
 	case *PopulationScenario:
-		pres, err := r.RunPopulation(ctx, *sc)
-		if err != nil {
-			return Result{}, err
-		}
-		return populationResult(r.engine, sc.N, pres), nil
+		return r.Run(ctx, deref(sc))
 	case nil:
 		return Result{}, fmt.Errorf("regcast: nil scenario")
 	default:
 		// Unreachable while AnyScenario stays sealed.
 		return Result{}, fmt.Errorf("regcast: unsupported scenario kind %T", s)
 	}
+}
+
+// deref returns the scenario p points to, or nil for a nil pointer.
+func deref[T AnyScenario](p *T) AnyScenario {
+	if p == nil {
+		return nil
+	}
+	return *p
 }
 
 // populationResult maps a PopulationResult onto the engine-independent

@@ -2,6 +2,7 @@ package regcast
 
 import (
 	"fmt"
+	"math"
 
 	"regcast/internal/graph"
 	"regcast/internal/p2p/overlay"
@@ -32,13 +33,29 @@ type TopologySpec interface {
 
 // SpecNodeCount returns the node-id-space size spec would build, without
 // building it, or -1 when the spec does not declare one. Every spec in
-// this package answers; cmds use it to size output without paying for
+// this package answers, and answers -1 exactly when its Build would
+// reject the size; cmds use it to size output without paying for
 // construction.
 func SpecNodeCount(spec TopologySpec) int {
 	if nc, ok := spec.(interface{ NodeCount() int }); ok {
 		return nc.NodeCount()
 	}
 	return -1
+}
+
+// sized is the body of every built-in spec's size check (its nodes
+// method): n when ok, else -1 and the error Build returns. NodeCount and
+// Build both run the one check, so they cannot disagree.
+func sized(n int, ok bool, format string, args ...any) (int, error) {
+	if !ok {
+		return -1, fmt.Errorf("regcast: "+format, args...)
+	}
+	return n, nil
+}
+
+// regularNodes is the size check of the pairing-model regular graphs.
+func regularNodes(n, d int) (int, error) {
+	return sized(n, n > 0 && d > 0 && d < n && n*d%2 == 0, "regular graph needs 0 < d < n with n·d even, got n=%d d=%d", n, d)
 }
 
 // SpecImplicit reports whether spec builds an implicit (computed-
@@ -75,6 +92,9 @@ type RegularGraphSpec struct {
 
 // Build implements TopologySpec.
 func (s RegularGraphSpec) Build(rep int, rng *Rand) (Topology, error) {
+	if _, err := regularNodes(s.N, s.D); err != nil {
+		return nil, err
+	}
 	g, err := graph.RandomRegular(s.N, s.D, rng.Split())
 	if err != nil {
 		return nil, err
@@ -83,7 +103,7 @@ func (s RegularGraphSpec) Build(rep int, rng *Rand) (Topology, error) {
 }
 
 // NodeCount implements the SpecNodeCount query.
-func (s RegularGraphSpec) NodeCount() int { return s.N }
+func (s RegularGraphSpec) NodeCount() int { n, _ := regularNodes(s.N, s.D); return n }
 
 // ConfigurationModelSpec builds a random d-regular multigraph by the
 // pairing model of the paper's §1.2; with Erased set, self-loops are
@@ -95,6 +115,9 @@ type ConfigurationModelSpec struct {
 
 // Build implements TopologySpec.
 func (s ConfigurationModelSpec) Build(rep int, rng *Rand) (Topology, error) {
+	if _, err := regularNodes(s.N, s.D); err != nil {
+		return nil, err
+	}
 	gen := graph.ConfigurationModel
 	if s.Erased {
 		gen = graph.ErasedConfigurationModel
@@ -107,7 +130,7 @@ func (s ConfigurationModelSpec) Build(rep int, rng *Rand) (Topology, error) {
 }
 
 // NodeCount implements the SpecNodeCount query.
-func (s ConfigurationModelSpec) NodeCount() int { return s.N }
+func (s ConfigurationModelSpec) NodeCount() int { n, _ := regularNodes(s.N, s.D); return n }
 
 // GnpSpec builds an Erdős–Rényi random graph G(n, p) per replication.
 type GnpSpec struct {
@@ -117,6 +140,9 @@ type GnpSpec struct {
 
 // Build implements TopologySpec.
 func (s GnpSpec) Build(rep int, rng *Rand) (Topology, error) {
+	if _, err := s.nodes(); err != nil {
+		return nil, err
+	}
 	g, err := graph.Gnp(s.N, s.P, rng.Split())
 	if err != nil {
 		return nil, err
@@ -125,7 +151,11 @@ func (s GnpSpec) Build(rep int, rng *Rand) (Topology, error) {
 }
 
 // NodeCount implements the SpecNodeCount query.
-func (s GnpSpec) NodeCount() int { return s.N }
+func (s GnpSpec) NodeCount() int { n, _ := s.nodes(); return n }
+
+func (s GnpSpec) nodes() (int, error) {
+	return sized(s.N, s.N >= 1 && s.N <= math.MaxInt32, "G(n,p) needs 1 <= n <= MaxInt32, got n=%d", s.N)
+}
 
 // HypercubeSpec builds the Dim-dimensional hypercube on 2^Dim nodes. The
 // construction is deterministic; replications differ only in their run
@@ -145,6 +175,9 @@ type HypercubeSpec struct {
 
 // Build implements TopologySpec.
 func (s HypercubeSpec) Build(int, *Rand) (Topology, error) {
+	if _, err := s.nodes(); err != nil {
+		return nil, err
+	}
 	if s.Dense {
 		g, err := graph.Hypercube(s.Dim)
 		if err != nil {
@@ -159,13 +192,17 @@ func (s HypercubeSpec) Build(int, *Rand) (Topology, error) {
 	return phonecall.NewImplicit(h), nil
 }
 
-// NodeCount implements the SpecNodeCount query; a dimension whose node
-// count does not fit an int (negative, or 63 and up) declares none.
-func (s HypercubeSpec) NodeCount() int {
-	if s.Dim < 0 || s.Dim > 62 {
-		return -1
+// NodeCount implements the SpecNodeCount query.
+func (s HypercubeSpec) NodeCount() int { n, _ := s.nodes(); return n }
+
+// nodes admits dimensions 1..30, or 1..26 dense, where the 2^Dim·Dim
+// adjacency slots must fit int32 CSR offsets.
+func (s HypercubeSpec) nodes() (int, error) {
+	maxDim := 30
+	if s.Dense {
+		maxDim = 26
 	}
-	return 1 << s.Dim
+	return sized(1<<uint(s.Dim), s.Dim >= 1 && s.Dim <= maxDim, "hypercube dimension %d out of range [1,%d]", s.Dim, maxDim)
 }
 
 // Implicit reports whether Build returns a computed-adjacency topology.
@@ -183,6 +220,9 @@ type TorusSpec struct {
 
 // Build implements TopologySpec.
 func (s TorusSpec) Build(int, *Rand) (Topology, error) {
+	if _, err := s.nodes(); err != nil {
+		return nil, err
+	}
 	if s.Dense {
 		g, err := graph.Torus(s.Rows, s.Cols)
 		if err != nil {
@@ -198,7 +238,18 @@ func (s TorusSpec) Build(int, *Rand) (Topology, error) {
 }
 
 // NodeCount implements the SpecNodeCount query.
-func (s TorusSpec) NodeCount() int { return s.Rows * s.Cols }
+func (s TorusSpec) NodeCount() int { n, _ := s.nodes(); return n }
+
+// nodes admits sides of at least 3 and node ids within int32 (dense: the
+// four adjacency slots per node within int32 CSR offsets).
+func (s TorusSpec) nodes() (int, error) {
+	limit := int64(math.MaxInt32)
+	if s.Dense {
+		limit /= 4
+	}
+	return sized(s.Rows*s.Cols, s.Rows >= 3 && s.Cols >= 3 && int64(s.Rows) <= limit && int64(s.Cols) <= limit &&
+		int64(s.Rows)*int64(s.Cols) <= limit, "torus needs sides >= 3 and at most %d cells, got %dx%d", limit, s.Rows, s.Cols)
+}
 
 // Implicit reports whether Build returns a computed-adjacency topology.
 func (s TorusSpec) Implicit() bool { return !s.Dense }
@@ -225,6 +276,9 @@ type GnpStreamSpec struct {
 
 // Build implements TopologySpec.
 func (s GnpStreamSpec) Build(rep int, rng *Rand) (Topology, error) {
+	if _, err := s.nodes(); err != nil {
+		return nil, err
+	}
 	f, err := graph.NewGnpStream(s.N, s.P, rng.Uint64())
 	if err != nil {
 		return nil, err
@@ -240,7 +294,11 @@ func (s GnpStreamSpec) Build(rep int, rng *Rand) (Topology, error) {
 }
 
 // NodeCount implements the SpecNodeCount query.
-func (s GnpStreamSpec) NodeCount() int { return s.N }
+func (s GnpStreamSpec) NodeCount() int { n, _ := s.nodes(); return n }
+
+func (s GnpStreamSpec) nodes() (int, error) {
+	return sized(s.N, s.N >= 2 && s.N <= math.MaxInt32, "streaming G(n,p) needs 2 <= n <= MaxInt32, got n=%d", s.N)
+}
 
 // Implicit reports whether Build returns a computed-adjacency topology.
 func (s GnpStreamSpec) Implicit() bool { return !s.Dense }
@@ -259,6 +317,9 @@ type RegularStreamSpec struct {
 
 // Build implements TopologySpec.
 func (s RegularStreamSpec) Build(rep int, rng *Rand) (Topology, error) {
+	if _, err := s.nodes(); err != nil {
+		return nil, err
+	}
 	f, err := graph.NewRegularStream(s.N, s.D, rng.Uint64())
 	if err != nil {
 		return nil, err
@@ -274,7 +335,13 @@ func (s RegularStreamSpec) Build(rep int, rng *Rand) (Topology, error) {
 }
 
 // NodeCount implements the SpecNodeCount query.
-func (s RegularStreamSpec) NodeCount() int { return s.N }
+func (s RegularStreamSpec) NodeCount() int { n, _ := s.nodes(); return n }
+
+func (s RegularStreamSpec) nodes() (int, error) {
+	return sized(s.N, s.N >= 2 && s.N <= math.MaxInt32 && s.D >= 2 && s.D%2 == 0 && s.D < s.N &&
+		(!s.Dense || int64(s.N)*int64(s.D) <= math.MaxInt32),
+		"regular stream needs 2 <= n <= MaxInt32 and even d in [2,n) (dense: n·d <= MaxInt32), got n=%d d=%d", s.N, s.D)
+}
 
 // Implicit reports whether Build returns a computed-adjacency topology.
 func (s RegularStreamSpec) Implicit() bool { return !s.Dense }
@@ -303,11 +370,16 @@ type OverlaySpec struct {
 
 // NodeCount implements the SpecNodeCount query: the id-space size is N
 // alive peers plus the headroom slots (Headroom 0 means N).
-func (s OverlaySpec) NodeCount() int {
-	if s.Headroom == 0 {
-		return 2 * s.N
+func (s OverlaySpec) NodeCount() int { n, _ := s.nodes(); return n }
+
+func (s OverlaySpec) nodes() (int, error) {
+	h := s.Headroom
+	if h == 0 {
+		h = s.N
 	}
-	return s.N + s.Headroom
+	return sized(s.N+h, s.D >= 4 && s.D%2 == 0 && s.N > s.D && h >= 0 && s.N <= math.MaxInt32 && h <= math.MaxInt32 &&
+		(int64(s.N)+int64(h))*int64(s.D) <= math.MaxInt32,
+		"OverlaySpec needs even d >= 4, n > d, headroom >= 0 and (n+headroom)·d <= MaxInt32, got n=%d d=%d headroom=%d", s.N, s.D, s.Headroom)
 }
 
 // churns reports whether the spec attaches a churner.
@@ -336,12 +408,12 @@ var (
 // second the churner (drawn even when no churner is attached, so the
 // stream shape does not depend on the churn parameters).
 func (s OverlaySpec) Build(rep int, rng *Rand) (Topology, error) {
-	headroom := s.Headroom
-	if headroom == 0 {
-		headroom = s.N
+	nodes, err := s.nodes()
+	if err != nil {
+		return nil, err
 	}
 	ovRNG, chRNG := rng.Split(), rng.Split()
-	ov, err := overlay.New(s.N, s.D, headroom, ovRNG)
+	ov, err := overlay.New(s.N, s.D, nodes-s.N, ovRNG)
 	if err != nil {
 		return nil, fmt.Errorf("regcast: OverlaySpec: %w", err)
 	}

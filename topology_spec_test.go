@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -337,5 +338,39 @@ func TestShippedTopologiesExposeAView(t *testing.T) {
 		if !csr && !implicit {
 			t.Errorf("%s: %T exposes neither a CSR nor an implicit view", s, topo)
 		}
+	}
+}
+
+// TestInvalidSpecSizesDeclareNoNodes: a spec whose Build rejects the size
+// declares no node count, and the -topology flag fails on it instead of
+// sizing the run from -n.
+func TestInvalidSpecSizesDeclareNoNodes(t *testing.T) {
+	for _, s := range []string{
+		"hypercube:dim=64",
+		"torus:rows=0,cols=5",
+		"gnp-stream:n=-5",
+		"overlay:n=10,d=20",
+		"torus:rows=-2,cols=-3",
+	} {
+		t.Run(s, func(t *testing.T) {
+			spec, err := regcast.ParseTopologySpec(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := regcast.SpecNodeCount(spec); n != -1 {
+				t.Errorf("SpecNodeCount = %d, want -1", n)
+			}
+			if _, err := spec.Build(0, regcast.NewRand(1)); err == nil {
+				t.Error("Build accepted the size")
+			}
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			f := regcast.AddCommonFlags(fs)
+			if err := fs.Parse([]string{"-topology", s}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "-topology") {
+				t.Errorf("Validate error %v, want a -topology error", err)
+			}
+		})
 	}
 }
